@@ -67,7 +67,7 @@ class AttributeModel:
 
 @dataclass
 class AdifaModel:
-    attributes: list
+    attributes: list[AttributeModel]
     psi: str  # one of PSI_TAGS
     training_scores: np.ndarray
     meta_sigma: float
@@ -124,6 +124,12 @@ def _aggregate(weighted: np.ndarray, psi: str) -> np.ndarray:
     return np.where(has_zero, 0.0, out)
 
 
+def _check_finite(X: np.ndarray) -> None:
+    # min(1.0, nan) is 1.0: a NaN cell would otherwise pass as normal
+    if not np.isfinite(X).all():
+        raise NonFiniteData("input contains non-finite cells")
+
+
 def instance_score(model: AdifaModel, x) -> float:
     """Weighted per-attribute likelihoods folded by the model's mean."""
     x = np.asarray(x, dtype=float)
@@ -157,8 +163,7 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
     m, n = X.shape
     if m < 2:
         raise TooFewRows(f"need at least 2 rows, got {m}")
-    if not np.isfinite(X).all():
-        raise NonFiniteData("dataset contains non-finite cells")
+    _check_finite(X)
 
     sigmas = np.empty(n)
     taus = np.empty(n)
@@ -203,6 +208,7 @@ def classify(model: AdifaModel, x) -> DetectionResult:
     if x.shape != (model.n_attributes,):
         raise DimensionMismatch(
             f"expected {model.n_attributes} values, got {x.shape}")
+    _check_finite(x)
     d = np.array([attribute_likelihood(am, xi)
                   for am, xi in zip(model.attributes, x)])
     weights = np.array([am.weight for am in model.attributes])
@@ -227,6 +233,7 @@ def score_batch(model: AdifaModel, X):
     if X.ndim != 2 or X.shape[1] != model.n_attributes:
         raise DimensionMismatch(
             f"expected shape (*, {model.n_attributes}), got {X.shape}")
+    _check_finite(X)
     t = X.shape[0]
     d = np.empty((t, model.n_attributes))
     for j, am in enumerate(model.attributes):

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import adifa, evaluate, model_io, synth
+from . import adifa, model_io, synth
 from .errors import XmladError
 from .extract import FeatureMatrix, build_feature_matrix
 from .flatten import (DEFAULT_TFIDF_K, FlatDataset, TfIdfDictionary,
@@ -89,8 +89,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a detector on a CSV dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--algo", default="adifa",
-                   choices=["adifa", "pga", "gde", "lof"])
+    p.add_argument("--algo", default="adifa", choices=sorted(
+        {a.kind for a in model_io.ALGORITHMS.values()}))
     p.add_argument("--psi", default="gm", choices=list(adifa.PSI_TAGS))
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--pga-alpha", type=float, default=0.1)
@@ -214,14 +214,11 @@ def _cmd_flatten(args) -> None:
 
 def _cmd_train(args) -> None:
     dataset = FlatDataset.from_csv(args.dataset)
-    if args.algo == "adifa":
-        tag = f"adifa-{args.psi}"
-    elif args.algo == "gde" and args.gde_sign_mode == "literal":
-        tag = "gde-literal"
-    else:
-        tag = args.algo
-    model = evaluate.train_algorithm(
-        tag, dataset, threshold=args.threshold, alpha=args.pga_alpha,
+    tag = {"adifa": f"adifa-{args.psi}",
+           "gde": "gde-literal" if args.gde_sign_mode == "literal" else "gde",
+           }.get(args.algo, args.algo)
+    model = model_io.ALGORITHMS[tag].train(
+        dataset, threshold=args.threshold, alpha=args.pga_alpha,
         k=args.pga_k, min_pts=args.lof_min_pts,
         standardize=args.standardize)
     model_io.save_model(model, args.output)
@@ -248,10 +245,8 @@ def _cmd_score(args) -> None:
         else:
             if args.localize:
                 raise UsageError("--localize requires an adifa model")
-            from . import baselines
-            classify = {"pga": baselines.pga_classify,
-                        "gde": baselines.gde_classify,
-                        "lof": baselines.lof_classify}[kind]
+            classify = next(a.classify for a in model_io.ALGORITHMS.values()
+                            if a.kind == kind)
             for i, x in enumerate(dataset.rows):
                 score, label = classify(model, x)
                 writer.writerow([str(i), repr(score), "", label])
@@ -313,12 +308,17 @@ def _cmd_gen_corpus(args) -> None:
     _write_corpus(args.output, docs, ids)
 
 
+def _check_tag(tag: str) -> None:
+    if tag not in model_io.ALGORITHMS:
+        raise UsageError(f"unknown algorithm tag {tag!r}")
+
+
 def _cmd_evaluate(args) -> None:
-    dataset = FlatDataset.from_csv(args.dataset)
+    from . import evaluate
     tags = [t.strip() for t in args.algos.split(",") if t.strip()]
     for tag in tags:
-        if tag not in evaluate.ALGORITHM_TAGS:
-            raise UsageError(f"unknown algorithm tag {tag!r}")
+        _check_tag(tag)
+    dataset = FlatDataset.from_csv(args.dataset)
     report_dir = Path(args.report)
     report_dir.mkdir(parents=True, exist_ok=True)
     results = {}
@@ -356,6 +356,7 @@ def _cmd_evaluate(args) -> None:
 
 def _write_roc(dataset, tag, args, path):
     import numpy as np
+    from . import evaluate
     labels = np.asarray(dataset.labels)
     rng = np.random.default_rng([args.seed, 99])
     perm = rng.permutation(len(labels))
@@ -375,6 +376,8 @@ def _write_roc(dataset, tag, args, path):
 
 
 def _cmd_learning_curve(args) -> None:
+    from . import evaluate
+    _check_tag(args.algo)
     dataset = FlatDataset.from_csv(args.dataset)
     points = evaluate.learning_curve(dataset, args.algo, seed=args.seed)
     out, close = _open_out(args.output)

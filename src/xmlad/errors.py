@@ -10,16 +10,8 @@ class MalformedSchema(XmladError):
     pass
 
 
-class UnsupportedConstruct(XmladError):
-    pass
-
-
 # extract
 class MalformedXml(XmladError):
-    pass
-
-
-class ValueParseError(XmladError):
     pass
 
 
@@ -42,11 +34,6 @@ class NonFiniteData(XmladError):
 
 
 class DimensionMismatch(XmladError):
-    pass
-
-
-# inject
-class NoEligibleTarget(XmladError):
     pass
 
 

@@ -1,8 +1,8 @@
 """Evaluation harness: ROC/AUC, 5x2 cross-validation, paired t-test,
 adjusted Friedman + Bonferroni-Dunn ranking, and learning curves.
 
-Every algorithm registers a score polarity once; the harness hands AUC a
-unified orientation where larger scores mean more anomalous.
+Each algorithm's score polarity lives in the model_io table; the harness
+hands AUC a unified orientation where larger scores mean more anomalous.
 """
 
 from dataclasses import dataclass
@@ -10,55 +10,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import adifa, baselines
 from .errors import (DegenerateMatrix, LengthMismatch, SingleClass,
                      TooFewRows)
 from .flatten import FlatDataset
+from .model_io import ALGORITHMS, algorithm
 
-ALGORITHM_TAGS = ("adifa-am", "adifa-gm", "adifa-hm", "pga", "gde",
-                  "gde-literal", "lof")
-
-# True when the algorithm's native score grows with normality and must be
-# negated before AUC consumes it.
-_LARGER_IS_NORMAL = {
-    "adifa-am": True, "adifa-gm": True, "adifa-hm": True,
-    "pga": False, "gde": True, "gde-literal": True, "lof": False,
-}
+ALGORITHM_TAGS = tuple(ALGORITHMS)
 
 
 def train_algorithm(tag: str, dataset: FlatDataset, **opts):
-    if tag.startswith("adifa-"):
-        return adifa.train(dataset, psi=tag.split("-", 1)[1],
-                           threshold=opts.get("threshold", 0.5))
-    if tag == "pga":
-        return baselines.pga_train(dataset, alpha=opts.get("alpha", 0.1),
-                                   k=opts.get("k", 1),
-                                   standardize=opts.get("standardize", False))
-    if tag in ("gde", "gde-literal"):
-        mode = "literal" if tag == "gde-literal" else opts.get(
-            "sign_mode", "corrected")
-        return baselines.gde_train(dataset, sign_mode=mode,
-                                   standardize=opts.get("standardize", False))
-    if tag == "lof":
-        return baselines.lof_train(dataset, min_pts=opts.get("min_pts", 10),
-                                   standardize=opts.get("standardize", False))
-    raise ValueError(f"unknown algorithm tag {tag!r}")
+    return algorithm(tag).train(dataset, **opts)
 
 
 def anomaly_scores(tag: str, model, X) -> np.ndarray:
     """Scores oriented so that larger means more anomalous."""
-    if tag.startswith("adifa-"):
-        _, _, densities = adifa.score_batch(model, X)
-        native = densities
-    elif tag == "pga":
-        native = baselines.pga_scores(model, X)
-    elif tag in ("gde", "gde-literal"):
-        native = baselines.gde_scores(model, X)
-    elif tag == "lof":
-        native = baselines.lof_scores(model, X)
-    else:
-        raise ValueError(f"unknown algorithm tag {tag!r}")
-    return -native if _LARGER_IS_NORMAL[tag] else native
+    algo = algorithm(tag)
+    native = algo.scores(model, X)
+    return -native if algo.larger_is_normal else native
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +77,7 @@ def roc_curve(scores, labels) -> RocCurve:
             j += 1
         tp += sorted_pos[i:j].sum()
         fp += (j - i) - sorted_pos[i:j].sum()
-        points.append((fp / n_neg, tp / n_pos))
+        points.append((float(fp / n_neg), float(tp / n_pos)))
         i = j
     fprs = np.array([p[0] for p in points])
     tprs = np.array([p[1] for p in points])

@@ -211,7 +211,6 @@ def make_anomalous_corpus(corpus, schema: SchemaVector, spec: InjectionSpec,
             mutated, record = inject_document(text, schema, spec, rng,
                                               document_id=rid,
                                               sentences=sentences)
-            record.label = "anomalous"  # selected for injection
             documents.append(mutated)
             labels.append(record.label)
             records.append(record)

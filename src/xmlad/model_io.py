@@ -1,146 +1,131 @@
-"""Model persistence: exact round-trips for the detector and the baselines.
+"""The algorithm table and model persistence.
 
-Each model kind gets its own container header (xmlad-adifa, xmlad-pga, ...).
-All floats survive serialization exactly, and kernel sums iterate stored
-values in stored order, so a loaded model reproduces classification outputs
-bit for bit.
+`ALGORITHMS` maps each algorithm tag to everything the rest of the package
+needs to know about it: the container kind it is saved under, its model
+dataclass, how to train it, its native scores and their polarity, and (for
+the baselines) the per-row classify call.  Adding an algorithm is one entry.
+
+Each model kind gets its own container header (xmlad-adifa, xmlad-pga, ...)
+whose body holds one key per dataclass field.  All floats survive
+serialization exactly, and kernel sums iterate stored values in stored
+order, so a loaded model reproduces classification outputs bit for bit.
 """
+
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, Optional, get_args, get_origin
 
 import numpy as np
 
-from . import persist
-from .adifa import AdifaModel, AttributeModel
+from . import adifa, baselines, persist
+from .adifa import AdifaModel
 from .baselines import GdeModel, LofModel, PgaModel
 from .errors import CorruptFile, VersionMismatch
 
 
-def _floats(arr):
-    return [float(v) for v in np.asarray(arr).ravel()]
+@dataclass(frozen=True)
+class Algorithm:
+    kind: str  # container kind, and what load_model reports
+    model: type  # model dataclass
+    train: Callable  # (dataset, **opts) -> model; unused opts are ignored
+    scores: Callable  # (model, X) -> native scores
+    larger_is_normal: bool  # native scores grow with normality
+    classify: Optional[Callable] = None  # (model, x) -> (score, label)
 
 
-def _matrix(arr):
-    return [[float(v) for v in row] for row in np.asarray(arr)]
+def _pick(opts: dict, *names) -> dict:
+    return {name: opts[name] for name in names if name in opts}
 
 
-def _opt_floats(arr):
-    return None if arr is None else _floats(arr)
+# The calls go through the module attributes at call time, so a wrapper
+# installed on, say, baselines.pga_scores also sees the calls made here.
+def _adifa(psi: str) -> Algorithm:
+    return Algorithm(
+        "adifa", AdifaModel,
+        lambda ds, **o: adifa.train(ds, psi=psi, **_pick(o, "threshold")),
+        lambda m, X: adifa.score_batch(m, X)[2], True)
 
 
-def _adifa_body(model: AdifaModel) -> dict:
-    return {
-        "psi": model.psi,
-        "threshold": model.threshold,
-        "column_names": list(model.column_names),
-        "attributes": [
-            {"values": _floats(a.values), "sigma": a.sigma, "tau": a.tau,
-             "norm": a.norm, "weight": a.weight, "entropy": a.entropy}
-            for a in model.attributes
-        ],
-        "training_scores": _floats(model.training_scores),
-        "meta_sigma": model.meta_sigma,
-        "meta_tau": model.meta_tau,
-        "meta_norm": model.meta_norm,
-        "calibration_max": model.calibration_max,
-    }
+def _gde(sign_mode: str) -> Algorithm:
+    return Algorithm(
+        "gde", GdeModel,
+        lambda ds, **o: baselines.gde_train(ds, sign_mode=sign_mode,
+                                            **_pick(o, "standardize")),
+        lambda m, X: baselines.gde_scores(m, X), True,
+        lambda m, x: baselines.gde_classify(m, x))
 
 
-def _adifa_from_body(body: dict) -> AdifaModel:
-    return AdifaModel(
-        attributes=[
-            AttributeModel(values=np.array(a["values"], dtype=float),
-                           sigma=a["sigma"], tau=a["tau"], norm=a["norm"],
-                           weight=a["weight"], entropy=a["entropy"])
-            for a in body["attributes"]
-        ],
-        psi=body["psi"],
-        training_scores=np.array(body["training_scores"], dtype=float),
-        meta_sigma=body["meta_sigma"], meta_tau=body["meta_tau"],
-        meta_norm=body["meta_norm"],
-        calibration_max=body["calibration_max"],
-        threshold=body["threshold"],
-        column_names=tuple(body["column_names"]),
-    )
-
-
-def _pga_body(m: PgaModel) -> dict:
-    return {"training_points": _matrix(m.training_points),
-            "nn_distances": _floats(m.nn_distances), "alpha": m.alpha,
-            "k": m.k, "cutoff": m.cutoff,
-            "mu": _opt_floats(m.mu), "sd": _opt_floats(m.sd)}
-
-
-def _pga_from_body(b: dict) -> PgaModel:
-    return PgaModel(training_points=np.array(b["training_points"], dtype=float),
-                    nn_distances=np.array(b["nn_distances"], dtype=float),
-                    alpha=b["alpha"], k=b["k"], cutoff=b["cutoff"],
-                    mu=None if b["mu"] is None else np.array(b["mu"]),
-                    sd=None if b["sd"] is None else np.array(b["sd"]))
-
-
-def _gde_body(m: GdeModel) -> dict:
-    return {"training_points": _matrix(m.training_points), "radius": m.radius,
-            "mean_neighbors": m.mean_neighbors,
-            "std_neighbors": m.std_neighbors, "sign_mode": m.sign_mode,
-            "mu": _opt_floats(m.mu), "sd": _opt_floats(m.sd)}
-
-
-def _gde_from_body(b: dict) -> GdeModel:
-    return GdeModel(training_points=np.array(b["training_points"], dtype=float),
-                    radius=b["radius"], mean_neighbors=b["mean_neighbors"],
-                    std_neighbors=b["std_neighbors"], sign_mode=b["sign_mode"],
-                    mu=None if b["mu"] is None else np.array(b["mu"]),
-                    sd=None if b["sd"] is None else np.array(b["sd"]))
-
-
-def _lof_body(m: LofModel) -> dict:
-    return {"training_points": _matrix(m.training_points),
-            "min_pts": m.min_pts, "k_distances": _floats(m.k_distances),
-            "lrd": _floats(m.lrd), "training_lof": _floats(m.training_lof),
-            "lof_max": m.lof_max,
-            "mu": _opt_floats(m.mu), "sd": _opt_floats(m.sd)}
-
-
-def _lof_from_body(b: dict) -> LofModel:
-    return LofModel(training_points=np.array(b["training_points"], dtype=float),
-                    min_pts=b["min_pts"],
-                    k_distances=np.array(b["k_distances"], dtype=float),
-                    lrd=np.array(b["lrd"], dtype=float),
-                    training_lof=np.array(b["training_lof"], dtype=float),
-                    lof_max=b["lof_max"],
-                    mu=None if b["mu"] is None else np.array(b["mu"]),
-                    sd=None if b["sd"] is None else np.array(b["sd"]))
-
-
-_KINDS = {
-    AdifaModel: ("adifa", _adifa_body),
-    PgaModel: ("pga", _pga_body),
-    GdeModel: ("gde", _gde_body),
-    LofModel: ("lof", _lof_body),
+ALGORITHMS = {
+    **{f"adifa-{psi}": _adifa(psi) for psi in adifa.PSI_TAGS},
+    "pga": Algorithm(
+        "pga", PgaModel,
+        lambda ds, **o: baselines.pga_train(
+            ds, **_pick(o, "alpha", "k", "standardize")),
+        lambda m, X: baselines.pga_scores(m, X), False,
+        lambda m, x: baselines.pga_classify(m, x)),
+    "gde": _gde("corrected"),
+    "gde-literal": _gde("literal"),
+    "lof": Algorithm(
+        "lof", LofModel,
+        lambda ds, **o: baselines.lof_train(
+            ds, **_pick(o, "min_pts", "standardize")),
+        lambda m, X: baselines.lof_scores(m, X), False,
+        lambda m, x: baselines.lof_classify(m, x)),
 }
 
-_LOADERS = {
-    "adifa": _adifa_from_body,
-    "pga": _pga_from_body,
-    "gde": _gde_from_body,
-    "lof": _lof_from_body,
-}
+
+def algorithm(tag: str) -> Algorithm:
+    try:
+        return ALGORITHMS[tag]
+    except KeyError:
+        raise ValueError(f"unknown algorithm tag {tag!r}") from None
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(cls, body: dict):
+    return cls(**{f.name: _decode_field(f.type, body[f.name])
+                  for f in fields(cls)})
+
+
+def _decode_field(kind, value):
+    if value is None:
+        return None
+    if kind is np.ndarray:
+        return np.array(value, dtype=float)
+    if kind is tuple:
+        return tuple(value)
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return [_decode(item, v) for v in value]
+    return value
 
 
 def save_model(model, path) -> None:
-    try:
-        kind, encode = _KINDS[type(model)]
-    except KeyError:
+    kinds = {a.model: a.kind for a in ALGORITHMS.values()}
+    if type(model) not in kinds:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    persist.write(path, kind, encode(model))
+    persist.write(path, kinds[type(model)], _encode(model))
 
 
 def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     header = text.split("\n", 1)[0]
-    for kind, loader in _LOADERS.items():
-        if header.startswith(f"xmlad-{kind} v"):
-            return kind, loader(persist.loads(kind, text))
+    for a in ALGORITHMS.values():
+        if header.startswith(f"xmlad-{a.kind} v"):
+            body = persist.loads(a.kind, text)
+            try:
+                return a.kind, _decode(a.model, body)
+            except (KeyError, TypeError) as exc:
+                raise CorruptFile(f"unreadable {a.kind} body: {exc!r}")
     if header.startswith("xmlad-"):
         raise VersionMismatch(f"unknown model header {header!r}")
     raise CorruptFile("not an xmlad model file")

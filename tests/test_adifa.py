@@ -173,6 +173,15 @@ def test_classify_dimension_check():
         classify(model, [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scoring_rejects_non_finite(bad):
+    model = train(make_dataset([[1.0, 2.0], [2.0, 3.0], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteData):
+        classify(model, [1.0, bad])
+    with pytest.raises(NonFiniteData):
+        score_batch(model, [[1.0, 2.0], [bad, 2.0]])
+
+
 # -- localization ----------------------------------------------------------
 
 def test_injected_column_ranks_first():

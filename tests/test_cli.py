@@ -94,6 +94,12 @@ def test_evaluate_reports(workspace):
         rows = list(csv.reader(fh))
     assert len(rows) == 4  # header + 3 algorithms
     assert len(rows[1]) == 12  # tag + 10 folds + mean
+    for tag in ("adifa-gm", "pga", "gde"):
+        with open(report / f"roc_{tag}.csv", newline="") as fh:
+            roc = list(csv.reader(fh))
+        assert roc[0] == ["fpr", "tpr"]
+        assert all(0.0 <= float(cell) <= 1.0
+                   for row in roc[1:] for cell in row)
 
 
 def test_learning_curve_command(workspace):
@@ -105,11 +111,6 @@ def test_learning_curve_command(workspace):
         rows = list(csv.reader(fh))
     assert rows[0] == ["train_size", "auc"]
     assert len(rows) == 11
-
-
-def test_unknown_flag_exit_1(capsys):
-    assert run(["schema-parse", "--bogus"]) == 1
-    assert "usage" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_1(capsys):
@@ -124,16 +125,36 @@ def test_data_error_exit_2(tmp_path, capsys):
     assert "xmlad:" in capsys.readouterr().err
 
 
-def test_unknown_attack_class_exit_1(workspace, capsys):
-    schema = workspace / "s.xadschema"
-    assert run(["schema-parse", str(workspace / "schema.xsd"),
-                "-o", str(schema)]) == 0
-    corpus = workspace / "normal"
-    assert run(["gen-corpus", "--schema", str(schema), "-n", "2",
-                "--out", str(corpus)]) == 0
-    assert run(["inject", "--schema", str(schema), "--in", str(corpus),
-                "--out", str(workspace / "x"), "--anomaly-index", "0.1",
-                "--classes", "nonsense"]) == 1
+def test_score_non_finite_exit_2(workspace, capsys):
+    _, dataset = _pipeline(workspace)
+    model = workspace / "m.xadmodel"
+    assert run(["train", "--dataset", str(dataset), "-o", str(model)]) == 0
+    with open(dataset, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][0] = "nan"
+    bad = workspace / "nan.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run(["score", "--model", str(model), "--dataset", str(bad),
+                "-o", str(workspace / "out.csv")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["schema-parse", "--bogus"], "usage"),
+    (["inject", "--schema", "{ws}/s.xadschema", "--in", "{ws}/normal",
+      "--out", "{ws}/x", "--anomaly-index", "0.1", "--classes", "nonsense"],
+     "unknown attack class"),
+    (["evaluate", "--dataset", "{ws}/d.csv", "--algos", "pga,bogus",
+      "--report", "{ws}/r"], "unknown algorithm tag"),
+    (["learning-curve", "--dataset", "{ws}/d.csv", "--algo", "bogus"],
+     "unknown algorithm tag"),
+], ids=["unknown-flag", "unknown-attack-class", "unknown-evaluate-algo",
+        "unknown-learning-curve-algo"])
+def test_usage_error_exit_1(workspace, capsys, argv, message):
+    _pipeline(workspace, count=10)
+    assert run([a.replace("{ws}", str(workspace)) for a in argv]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_schema_parse_stdin_like_path(tmp_path):

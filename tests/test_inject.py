@@ -110,6 +110,20 @@ def test_corpus_fraction_one_labels_everything(small_schema, small_corpus):
     assert all(label == "anomalous" for label in labels)
 
 
+def test_corpus_document_without_injection_stays_normal():
+    # a lone string element gives ValuePoisoning nothing to land on
+    schema = parse_xsd('<xsd:schema xmlns:xsd="http://www.w3.org/2001/'
+                       'XMLSchema"><xsd:element name="Note" '
+                       'type="xsd:string"/></xsd:schema>')
+    corpus = ["<Note>plain text</Note>"] * 4
+    spec = InjectionSpec(anomaly_index=1.0, seed=0,
+                         classes=(AttackClass.VALUE_POISONING,))
+    docs, labels, records = make_anomalous_corpus(corpus, schema, spec, 1.0)
+    assert docs == corpus
+    assert labels == ["normal"] * 4
+    assert all(r.shortfall and not r.injections for r in records)
+
+
 def test_corpus_injection_deterministic(small_schema, small_corpus):
     spec = InjectionSpec(anomaly_index=0.2, seed=9)
     a = make_anomalous_corpus(small_corpus, small_schema, spec, 0.4)

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ def test_container_wrong_kind_rejected():
         persist.loads("other", text)
 
 
+# the body keys per model kind: the v1 format other readers parse
+BODY_KEYS = {
+    "adifa": {"attributes", "psi", "training_scores", "meta_sigma",
+              "meta_tau", "meta_norm", "calibration_max", "threshold",
+              "column_names"},
+    "pga": {"training_points", "nn_distances", "alpha", "k", "cutoff", "mu",
+            "sd"},
+    "gde": {"training_points", "radius", "mean_neighbors", "std_neighbors",
+            "sign_mode", "mu", "sd"},
+    "lof": {"training_points", "min_pts", "k_distances", "lrd",
+            "training_lof", "lof_max", "mu", "sd"},
+}
+ATTRIBUTE_KEYS = {"values", "sigma", "tau", "norm", "weight", "entropy"}
+
+
 def _random_dataset(rng, m=40, n=4):
     return make_dataset([[rng.gauss(10 * j, 2.0) for j in range(n)]
                          for _ in range(m)])
@@ -65,12 +81,21 @@ def test_adifa_model_round_trip_bit_identical(tmp_path):
     path2 = tmp_path / "m2.xadmodel"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    body = persist.read(path, "adifa")
+    assert set(body) == BODY_KEYS["adifa"]
+    assert all(set(a) == ATTRIBUTE_KEYS for a in body["attributes"])
 
 
 @pytest.mark.parametrize("trainer,classifier,kind", [
     (pga_train, pga_classify, "pga"),
     (gde_train, gde_classify, "gde"),
     (lof_train, lof_classify, "lof"),
+    pytest.param(partial(pga_train, standardize=True), pga_classify, "pga",
+                 id="pga-standardize"),
+    pytest.param(partial(gde_train, sign_mode="literal", standardize=True),
+                 gde_classify, "gde", id="gde-literal-standardize"),
+    pytest.param(partial(lof_train, standardize=True), lof_classify, "lof",
+                 id="lof-standardize"),
 ])
 def test_baseline_model_round_trips(tmp_path, trainer, classifier, kind):
     rng = random.Random(f"io-{kind}")
@@ -83,6 +108,10 @@ def test_baseline_model_round_trips(tmp_path, trainer, classifier, kind):
     for _ in range(10):
         x = [rng.uniform(-10, 50) for _ in range(4)]
         assert classifier(model, x) == classifier(loaded, x)
+    path2 = tmp_path / f"{kind}2.xadmodel"
+    save_model(loaded, path2)
+    assert path.read_bytes() == path2.read_bytes()
+    assert set(persist.read(path, kind)) == BODY_KEYS[kind]
 
 
 def test_load_model_rejects_garbage(tmp_path):
@@ -92,6 +121,9 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
     path.write_text("xmlad-adifa v99\nsha256:0\n{}\n")
     with pytest.raises(VersionMismatch):
+        load_model(path)
+    path.write_text(persist.dumps("pga", {"k": 1}))
+    with pytest.raises(CorruptFile):
         load_model(path)
 
 

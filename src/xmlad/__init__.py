@@ -8,7 +8,7 @@ from .flatten import (FlatDataset, TfIdfDictionary, build_dictionary,
                       flatten_matrix, flatten_row, tfidf)
 from .adifa import (AdifaModel, DetectionResult, attribute_entropy,
                     attribute_likelihood, classify, compute_weights,
-                    instance_score, localize, train)
+                    localize, train)
 from .inject import (AttackClass, InjectionRecord, InjectionSpec,
                      inject_document, make_anomalous_corpus)
 from .model_io import load_model, save_model
@@ -22,7 +22,7 @@ __all__ = [
     "FlatDataset", "TfIdfDictionary", "build_dictionary", "flatten_matrix",
     "flatten_row", "tfidf", "AdifaModel", "DetectionResult",
     "attribute_entropy", "attribute_likelihood", "classify",
-    "compute_weights", "instance_score", "localize", "train", "AttackClass",
+    "compute_weights", "localize", "train", "AttackClass",
     "InjectionRecord", "InjectionSpec", "inject_document",
     "make_anomalous_corpus", "load_model", "save_model",
 ]

@@ -6,6 +6,11 @@ combined through an entropy-weighted mean (arithmetic, geometric or
 harmonic); the distribution of the resulting training scores is itself
 modeled with a univariate KDE, whose value at a test score drives the
 normal/anomalous decision and is also what gets calibrated into [0, 1].
+
+Every kernel density (per-attribute, leave-one-out and meta) comes from one
+routine, `_kernel_sums`, which walks the kernel cells in fixed-size blocks:
+memory is O(block), not O(m^2), and `train`, `score_batch` and `classify`
+share its arithmetic bit for bit.
 """
 
 import math
@@ -19,7 +24,8 @@ PSI_TAGS = ("am", "gm", "hm")
 
 _DISTINCT_BIN_LIMIT = 32
 _SIGMA_FLOOR_SCALE = 1e-9
-_GM_TERM_FLOOR = 1e-300
+_HM_TERM_FLOOR = 1e-300
+_BLOCK_CELLS = 1 << 14  # kernel cells per block: 128 KB of float64
 
 
 def _sigma_floor(sigma: float, mean: float) -> float:
@@ -97,10 +103,38 @@ def _fit_kernel(values: np.ndarray):
     return sigma, tau, norm
 
 
+def _kernel_sums(centers, taus, points) -> np.ndarray:
+    """Gaussian kernel sums: out[i, j] = sum_k exp(-taus[j] (points[i, j] -
+    centers[j, k])^2) for centers (n, u), taus (n,) and points (t, n).
+
+    The (t, n, u) kernel cells go in blocks of about _BLOCK_CELLS: several
+    point rows at a time, or one row in groups of columns.  Memory is O(block)
+    beyond the output, and each sum runs over its centre row in order.
+    """
+    centers = np.ascontiguousarray(centers)  # row reads, not strided ones
+    neg = -np.asarray(taus, dtype=float)[:, None]
+    out = np.empty(points.shape)
+    n, u = centers.shape
+    rows = max(1, _BLOCK_CELLS // (n * u))
+    cols = min(n, max(1, _BLOCK_CELLS // u))
+    for lo in range(0, len(points), rows):
+        for c in range(0, n, cols):
+            # C order whatever the inputs' layout, so that exp and the sum
+            # take the same contiguous path for every caller
+            diff = np.subtract(points[lo:lo + rows, c:c + cols, None],
+                               centers[c:c + cols], order="C")
+            k = neg[c:c + cols] * diff
+            k *= diff
+            np.exp(k, out=k)
+            k.sum(axis=-1, out=out[lo:lo + rows, c:c + cols])
+    return out
+
+
 def attribute_likelihood(model: AttributeModel, x: float) -> float:
     """Average Gaussian kernel mass the training column places at x."""
-    diffs = model.values - x
-    return float(model.norm * np.exp(-model.tau * diffs * diffs).mean())
+    return float(model.norm * (_kernel_sums(
+        model.values[None, :], [model.tau], np.array([[x]], dtype=float))[0, 0]
+        / len(model.values)))
 
 
 def _aggregate(weighted: np.ndarray, psi: str) -> np.ndarray:
@@ -113,12 +147,13 @@ def _aggregate(weighted: np.ndarray, psi: str) -> np.ndarray:
         return weighted.mean(axis=-1)
     has_zero = (weighted <= 0.0).any(axis=-1)
     if psi == "gm":
-        logs = np.log(np.maximum(weighted, _GM_TERM_FLOOR))
-        out = np.exp(logs.mean(axis=-1))
+        # exact down to subnormal terms; a zero term's -inf is masked below
+        with np.errstate(divide="ignore"):
+            out = np.exp(np.log(weighted).mean(axis=-1))
     elif psi == "hm":
         with np.errstate(divide="ignore"):
             out = weighted.shape[-1] / (1.0 / np.maximum(
-                weighted, _GM_TERM_FLOOR)).sum(axis=-1)
+                weighted, _HM_TERM_FLOOR)).sum(axis=-1)
     else:
         raise ValueError(f"unknown aggregation tag {psi!r}")
     return np.where(has_zero, 0.0, out)
@@ -128,30 +163,6 @@ def _check_finite(X: np.ndarray) -> None:
     # min(1.0, nan) is 1.0: a NaN cell would otherwise pass as normal
     if not np.isfinite(X).all():
         raise NonFiniteData("input contains non-finite cells")
-
-
-def instance_score(model: AdifaModel, x) -> float:
-    """Weighted per-attribute likelihoods folded by the model's mean."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_attributes,):
-        raise DimensionMismatch(
-            f"expected {model.n_attributes} values, got {x.shape}")
-    d = np.array([attribute_likelihood(am, xi)
-                  for am, xi in zip(model.attributes, x)])
-    weights = np.array([am.weight for am in model.attributes])
-    return float(_aggregate(weights * d, model.psi))
-
-
-def _loo_density_columns(X: np.ndarray, taus, norms) -> np.ndarray:
-    """Per-attribute KDE at each training value, that value's kernel left out."""
-    m, n = X.shape
-    out = np.empty((m, n))
-    for j in range(n):
-        col = X[:, j]
-        diff = col[:, None] - col[None, :]
-        k = np.exp(-taus[j] * diff * diff)
-        out[:, j] = norms[j] * (k.sum(axis=1) - 1.0) / (m - 1)
-    return out
 
 
 def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
@@ -165,23 +176,17 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
         raise TooFewRows(f"need at least 2 rows, got {m}")
     _check_finite(X)
 
-    sigmas = np.empty(n)
-    taus = np.empty(n)
-    norms = np.empty(n)
-    entropies = np.empty(n)
-    for j in range(n):
-        sigmas[j], taus[j], norms[j] = _fit_kernel(X[:, j])
-        entropies[j] = attribute_entropy(X[:, j])
+    sigmas, taus, norms = np.array([_fit_kernel(c) for c in X.T]).T
+    entropies = [attribute_entropy(c) for c in X.T]
     weights = np.array(compute_weights(entropies))
 
-    loo = _loo_density_columns(X, taus, norms)
-    scores = _aggregate(weights[None, :] * loo, psi)
+    # leave-one-out: every point is also a centre, whose kernel adds exp(0)
+    loo = norms * (_kernel_sums(X.T, taus, X) - 1.0) / (m - 1)
+    scores = _aggregate(weights * loo, psi)
 
     meta_sigma, meta_tau, meta_norm = _fit_kernel(scores)
-    diff = scores[:, None] - scores[None, :]
-    k = np.exp(-meta_tau * diff * diff)
-    loo_meta = meta_norm * (k.sum(axis=1) - 1.0) / (m - 1)
-    calibration_max = float(loo_meta.max())
+    loo_meta = meta_norm * (_kernel_sums(
+        scores[None, :], [meta_tau], scores[:, None])[:, 0] - 1.0) / (m - 1)
 
     attributes = [
         AttributeModel(values=np.sort(X[:, j]), sigma=float(sigmas[j]),
@@ -189,18 +194,31 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
                        weight=float(weights[j]), entropy=float(entropies[j]))
         for j in range(n)
     ]
-    return AdifaModel(attributes=attributes, psi=psi,
-                      training_scores=scores,
+    return AdifaModel(attributes=attributes, psi=psi, training_scores=scores,
                       meta_sigma=float(meta_sigma), meta_tau=float(meta_tau),
                       meta_norm=float(meta_norm),
-                      calibration_max=calibration_max,
+                      calibration_max=float(loo_meta.max()),
                       threshold=float(threshold),
                       column_names=tuple(dataset.column_names))
 
 
-def meta_density(model: AdifaModel, score) -> float:
-    s = model.training_scores - score
-    return float(model.meta_norm * np.exp(-model.meta_tau * s * s).mean())
+def _score(model: AdifaModel, X: np.ndarray):
+    """Per-attribute likelihoods (t, n), scores, likelihoods and meta
+    densities of the rows of X."""
+    if X.ndim != 2 or X.shape[1] != model.n_attributes:
+        raise DimensionMismatch(
+            f"expected shape (*, {model.n_attributes}), got {X.shape}")
+    _check_finite(X)
+    centers = np.stack([am.values for am in model.attributes])
+    taus, norms, weights = np.array(
+        [(am.tau, am.norm, am.weight) for am in model.attributes]).T
+    d = norms * (_kernel_sums(centers, taus, X) / centers.shape[1])
+    scores = _aggregate(weights * d, model.psi)
+    s = model.training_scores
+    densities = model.meta_norm * (_kernel_sums(
+        s[None, :], [model.meta_tau], scores[:, None])[:, 0] / len(s))
+    likelihoods = np.minimum(1.0, densities / model.calibration_max)
+    return d, scores, likelihoods, densities
 
 
 def classify(model: AdifaModel, x) -> DetectionResult:
@@ -208,18 +226,13 @@ def classify(model: AdifaModel, x) -> DetectionResult:
     if x.shape != (model.n_attributes,):
         raise DimensionMismatch(
             f"expected {model.n_attributes} values, got {x.shape}")
-    _check_finite(x)
-    d = np.array([attribute_likelihood(am, xi)
-                  for am, xi in zip(model.attributes, x)])
-    weights = np.array([am.weight for am in model.attributes])
-    score = float(_aggregate(weights * d, model.psi))
-    density = meta_density(model, score)
-    likelihood = min(1.0, density / model.calibration_max)
+    d, scores, likelihoods, _ = _score(model, x[None, :])
+    likelihood = float(likelihoods[0])
     label = "anomalous" if likelihood < model.threshold else "normal"
-    order = sorted(range(len(d)), key=lambda j: (d[j], j))
-    per_attribute = tuple((model.column_names[j], float(d[j])) for j in order)
-    return DetectionResult(score=score, likelihood=likelihood, label=label,
-                           per_attribute=per_attribute)
+    per_attribute = tuple((model.column_names[j], float(d[0, j]))
+                          for j in np.argsort(d[0], kind="stable"))
+    return DetectionResult(score=float(scores[0]), likelihood=likelihood,
+                           label=label, per_attribute=per_attribute)
 
 
 def localize(result: DetectionResult, top_k: int):
@@ -229,20 +242,6 @@ def localize(result: DetectionResult, top_k: int):
 
 def score_batch(model: AdifaModel, X):
     """Vectorized scores/likelihoods/densities for a matrix of instances."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_attributes:
-        raise DimensionMismatch(
-            f"expected shape (*, {model.n_attributes}), got {X.shape}")
-    _check_finite(X)
-    t = X.shape[0]
-    d = np.empty((t, model.n_attributes))
-    for j, am in enumerate(model.attributes):
-        diff = X[:, j][:, None] - am.values[None, :]
-        d[:, j] = am.norm * np.exp(-am.tau * diff * diff).mean(axis=1)
-    weights = np.array([am.weight for am in model.attributes])
-    scores = _aggregate(weights[None, :] * d, model.psi)
-    sdiff = scores[:, None] - model.training_scores[None, :]
-    densities = model.meta_norm * np.exp(
-        -model.meta_tau * sdiff * sdiff).mean(axis=1)
-    likelihoods = np.minimum(1.0, densities / model.calibration_max)
+    _, scores, likelihoods, densities = _score(
+        model, np.asarray(X, dtype=float))
     return scores, likelihoods, densities

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import adifa, model_io, synth
-from .errors import XmladError
+from .errors import CorruptFile, XmladError
 from .extract import FeatureMatrix, build_feature_matrix
 from .flatten import (DEFAULT_TFIDF_K, FlatDataset, TfIdfDictionary,
                       build_dictionary, flatten_matrix)
@@ -168,10 +168,14 @@ def _parse_classes(arg):
     return tuple(classes)
 
 
-def _open_out(path):
+def _write_rows(path, rows) -> None:
+    """Write CSV rows to path, or stdout for -.  Callers compute every row
+    first, so a data error leaves no partial file behind."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _cmd_schema_parse(args) -> None:
@@ -200,11 +204,13 @@ def _cmd_flatten(args) -> None:
         dictionary = build_dictionary(matrix, schema, k=args.tfidf_k)
     labels = None
     if args.labels:
-        by_id = {}
         with open(args.labels, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                if row and row[0] != "row_id":
-                    by_id[row[0]] = row[1]
+            by_id = {row[0]: row[1] for row in csv.reader(fh)
+                     if len(row) > 1 and row[0] != "row_id"}
+        missing = [rid for rid in matrix.row_ids if rid not in by_id]
+        if missing:
+            raise CorruptFile(f"{args.labels}: no label for row "
+                              f"{missing[0]!r} ({len(missing)} missing)")
         labels = [by_id[rid] for rid in matrix.row_ids]
     dataset = flatten_matrix(matrix, schema, dictionary, labels=labels)
     dataset.to_csv(args.output)
@@ -227,32 +233,27 @@ def _cmd_train(args) -> None:
 def _cmd_score(args) -> None:
     kind, model = model_io.load_model(args.model)
     dataset = FlatDataset.from_csv(args.dataset)
-    out, close = _open_out(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        header = ["row", "score", "likelihood", "label"]
-        for i in range(max(0, args.localize)):
-            header += [f"localized_{i + 1}", f"localized_{i + 1}_d"]
-        writer.writerow(header)
-        if kind == "adifa":
-            for i, x in enumerate(dataset.rows):
-                result = adifa.classify(model, x)
-                cells = [str(i), repr(result.score), repr(result.likelihood),
-                         result.label]
-                for name, d in adifa.localize(result, args.localize):
-                    cells += [name, repr(d)]
-                writer.writerow(cells)
-        else:
-            if args.localize:
-                raise UsageError("--localize requires an adifa model")
-            classify = next(a.classify for a in model_io.ALGORITHMS.values()
-                            if a.kind == kind)
-            for i, x in enumerate(dataset.rows):
-                score, label = classify(model, x)
-                writer.writerow([str(i), repr(score), "", label])
-    finally:
-        if close:
-            out.close()
+    header = ["row", "score", "likelihood", "label"]
+    for i in range(max(0, args.localize)):
+        header += [f"localized_{i + 1}", f"localized_{i + 1}_d"]
+    rows = [header]
+    if kind == "adifa":
+        for i, x in enumerate(dataset.rows):
+            result = adifa.classify(model, x)
+            cells = [str(i), repr(result.score), repr(result.likelihood),
+                     result.label]
+            for name, d in adifa.localize(result, args.localize):
+                cells += [name, repr(d)]
+            rows.append(cells)
+    else:
+        if args.localize:
+            raise UsageError("--localize requires an adifa model")
+        classify = next(a.classify for a in model_io.ALGORITHMS.values()
+                        if a.kind == kind)
+        for i, x in enumerate(dataset.rows):
+            score, label = classify(model, x)
+            rows.append([str(i), repr(score), "", label])
+    _write_rows(args.output, rows)
 
 
 def _cmd_localize(args) -> None:
@@ -260,18 +261,13 @@ def _cmd_localize(args) -> None:
     if kind != "adifa":
         raise UsageError("localize requires an adifa model")
     dataset = FlatDataset.from_csv(args.dataset)
-    out, close = _open_out(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row", "rank", "column", "likelihood"])
-        for i, x in enumerate(dataset.rows):
-            result = adifa.classify(model, x)
-            for rank, (name, d) in enumerate(
-                    adifa.localize(result, args.top), start=1):
-                writer.writerow([str(i), str(rank), name, repr(d)])
-    finally:
-        if close:
-            out.close()
+    rows = [["row", "rank", "column", "likelihood"]]
+    for i, x in enumerate(dataset.rows):
+        result = adifa.classify(model, x)
+        for rank, (name, d) in enumerate(
+                adifa.localize(result, args.top), start=1):
+            rows.append([str(i), str(rank), name, repr(d)])
+    _write_rows(args.output, rows)
 
 
 def _cmd_inject(args) -> None:
@@ -380,15 +376,8 @@ def _cmd_learning_curve(args) -> None:
     _check_tag(args.algo)
     dataset = FlatDataset.from_csv(args.dataset)
     points = evaluate.learning_curve(dataset, args.algo, seed=args.seed)
-    out, close = _open_out(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["train_size", "auc"])
-        for size, value in points:
-            writer.writerow([str(size), repr(value)])
-    finally:
-        if close:
-            out.close()
+    _write_rows(args.output, [["train_size", "auc"]] + [
+        [str(size), repr(value)] for size, value in points])
 
 
 _COMMANDS = {
@@ -420,7 +409,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except XmladError as exc:
+    except (XmladError, OSError) as exc:  # OSError: e.g. a missing file
         print(f"xmlad: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .errors import SchemaMismatch
+from .errors import CorruptFile, SchemaMismatch
 from .extract import FeatureMatrix
 from .schema import AbstractType, SchemaVector
 
@@ -100,17 +100,26 @@ class FlatDataset:
 
     @classmethod
     def from_csv(cls, path) -> "FlatDataset":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            has_label = bool(header) and header[-1] == "label"
-            names = tuple(header[:-1] if has_label else header)
-            rows, labels = [], []
-            for cells in reader:
-                if has_label:
-                    labels.append(cells[-1])
-                    cells = cells[:-1]
-                rows.append([float(c) for c in cells])
+        """Read a dataset; an empty, ragged or non-numeric one is corrupt."""
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if not header:
+                    raise CorruptFile(f"{path}: no header row")
+                has_label = header[-1] == "label"
+                names = tuple(header[:-1] if has_label else header)
+                rows, labels = [], []
+                for cells in reader:
+                    if len(cells) != len(header):
+                        raise CorruptFile(f"{path}: line {reader.line_num} "
+                                          f"has {len(cells)} cells")
+                    if has_label:
+                        labels.append(cells[-1])
+                        cells = cells[:-1]
+                    rows.append([float(c) for c in cells])
+        except ValueError as exc:  # a non-numeric cell or undecodable bytes
+            raise CorruptFile(f"{path}: {exc}") from None
         data = (np.array(rows, dtype=float) if rows
                 else np.empty((0, len(names))))
         return cls(column_names=names, rows=data,

@@ -293,10 +293,13 @@ class _Parser:
 
 
 def _occurs_bounds(decl):
-    lo = int(decl.get("minOccurs", "1"))
+    lo_raw = decl.get("minOccurs", "1")
     hi_raw = decl.get("maxOccurs", "1")
-    hi = None if hi_raw == "unbounded" else int(hi_raw)
-    return (lo, hi)
+    try:
+        return (int(lo_raw), None if hi_raw == "unbounded" else int(hi_raw))
+    except ValueError:
+        raise MalformedSchema(f"element {decl.get('name')!r} has occurs "
+                              f"bounds {lo_raw!r}..{hi_raw!r}") from None
 
 
 def parse_xsd(xsd_text: str, include_attributes: bool = True) -> SchemaVector:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from conftest import make_dataset
 from xmlad import adifa
 from xmlad.adifa import (AttributeModel, attribute_entropy,
                          attribute_likelihood, classify, compute_weights,
-                         instance_score, localize, meta_density, score_batch,
-                         train)
+                         localize, score_batch, train)
 from xmlad.errors import DimensionMismatch, NonFiniteData, TooFewRows
 
 
@@ -90,6 +90,11 @@ def test_aggregate_arithmetic():
 
 def test_aggregate_geometric():
     assert adifa._aggregate(np.array([0.25, 1.0]), "gm") == pytest.approx(0.5)
+    # a positive subnormal term is taken as it is, not lifted to a floor
+    terms = [1e-318, 0.5, 2.0]
+    exact = math.exp(sum(math.log(t) for t in terms) / len(terms))
+    assert adifa._aggregate(np.array(terms), "gm") == pytest.approx(
+        exact, rel=1e-10, abs=0.0)
 
 
 def test_aggregate_zero_collapses_gm_hm():
@@ -117,8 +122,8 @@ def test_toy_training_matches_oracle(psi):
     assert model.calibration_max == pytest.approx(ref["calibration_max"],
                                                   rel=1e-12)
     x = [0.5, 2.5]
-    assert instance_score(model, x) == pytest.approx(oracle.score(ref, x),
-                                                     rel=1e-12)
+    assert score_batch(model, [x])[0][0] == pytest.approx(oracle.score(ref, x),
+                                                          rel=1e-12)
 
 
 def test_train_input_validation():
@@ -221,8 +226,57 @@ def test_score_batch_matches_classify():
     scores, likelihoods, densities = score_batch(model, X)
     for i in range(len(X)):
         result = classify(model, X[i])
-        assert scores[i] == pytest.approx(result.score, rel=1e-12, abs=1e-300)
-        assert likelihoods[i] == pytest.approx(result.likelihood, rel=1e-12,
-                                               abs=1e-300)
-        assert densities[i] == pytest.approx(
-            meta_density(model, result.score), rel=1e-12, abs=1e-300)
+        assert scores[i] == result.score
+        assert likelihoods[i] == result.likelihood
+        assert densities[i] == score_batch(model, X[i:i + 1])[2][0]
+
+
+# -- blocked kernel sums ---------------------------------------------------
+
+def _heavy_duplicate_rows(m):
+    """Continuous columns, one of at most 32 distinct values, one constant."""
+    rng = np.random.default_rng(3000)
+    cols = [rng.normal(5.0 * j, 1.0 + j, m) for j in range(5)]
+    cols.append(rng.integers(0, 32, m).astype(float))
+    cols.append(np.full(m, 7.0))
+    return np.column_stack(cols)
+
+
+def _direct_kernel_sums(centers, taus, points):
+    """The unblocked formula: one m x m kernel matrix per column."""
+    out = np.empty(points.shape)
+    for j in range(points.shape[1]):
+        diff = points[:, j][:, None] - centers[j][None, :]
+        out[:, j] = np.exp(-taus[j] * diff * diff).sum(axis=1)
+    return out
+
+
+def test_blocked_kernel_sums_equal_direct_formula():
+    X = _heavy_duplicate_rows(3000)
+    m, n = X.shape
+    assert m * n * m > 1000 * adifa._BLOCK_CELLS  # kernel cells: many blocks
+    taus = [adifa._fit_kernel(c)[1] for c in X.T]
+    # leave-one-out layout: every training row against every training value
+    assert np.array_equal(adifa._kernel_sums(X.T, taus, X),
+                          _direct_kernel_sums(X.T, taus, X))
+    # scoring layout: new rows against the sorted training columns
+    centers = np.sort(X.T, axis=1)
+    points = _heavy_duplicate_rows(3000)[::-1][:700] + 0.25
+    assert np.array_equal(adifa._kernel_sums(centers, taus, points),
+                          _direct_kernel_sums(centers, taus, points))
+    # the meta KDE layout: one column of m values
+    s = X[:, 0]
+    args = (s[None, :], taus[:1], s[:, None])
+    assert np.array_equal(adifa._kernel_sums(*args),
+                          _direct_kernel_sums(*args))
+
+
+def test_train_memory_below_one_kernel_matrix():
+    ds = make_dataset(_heavy_duplicate_rows(3000))
+    tracemalloc.start()
+    try:
+        train(ds, psi="gm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 * 8

@@ -117,12 +117,49 @@ def test_unknown_subcommand_exit_1(capsys):
     assert run(["frobnicate"]) == 1
 
 
-def test_data_error_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.xsd"
-    bad.write_text("<broken", encoding="utf-8")
-    assert run(["schema-parse", str(bad),
-                "-o", str(tmp_path / "out.xadschema")]) == 2
-    assert "xmlad:" in capsys.readouterr().err
+def _schema_parse(ws, xsd_text):
+    (ws / "bad.xsd").write_text(xsd_text, encoding="utf-8")
+    return ["schema-parse", str(ws / "bad.xsd"), "-o", str(ws / "o.xadschema")]
+
+
+def _train_on(ws, csv_text):
+    (ws / "bad.csv").write_text(csv_text, encoding="utf-8")
+    return ["train", "--dataset", str(ws / "bad.csv"), "-o", str(ws / "m")]
+
+
+def _labels_missing_row(ws):
+    _pipeline(ws, count=10)
+    with open(ws / "injected" / "labels.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    (ws / "short.csv").write_text(
+        "\n".join(",".join(r) for r in rows[:-1]) + "\n", encoding="utf-8")
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
+            "--labels", str(ws / "short.csv")]
+
+
+_DATA_ERRORS = {
+    "unparseable-xsd": lambda ws: _schema_parse(ws, "<broken"),
+    "occurs-not-int": lambda ws: _schema_parse(ws, PAYMENT_XSD.replace(
+        'type="xsd:double"', 'type="xsd:double" maxOccurs="lots"')),
+    "non-numeric-csv": lambda ws: _train_on(ws, "a,b\n1.0,2.0\n3.0,x\n"),
+    "empty-csv": lambda ws: _train_on(ws, ""),
+    "ragged-csv": lambda ws: _train_on(ws, "a,b\n1.0,2.0\n3.0\n"),
+    "missing-dataset": lambda ws: ["train", "--dataset", str(ws / "no.csv"),
+                                   "-o", str(ws / "m")],
+    "missing-model": lambda ws: ["score", "--model", str(ws / "no.xadmodel"),
+                                 "--dataset", str(ws / "no.csv")],
+    "labels-missing-row": _labels_missing_row,
+}
+
+
+@pytest.mark.parametrize("case", list(_DATA_ERRORS))
+def test_data_error_exit_2(workspace, capsys, case):
+    argv = _DATA_ERRORS[case](workspace)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("xmlad:") and "Traceback" not in err
 
 
 def test_score_non_finite_exit_2(workspace, capsys):
@@ -138,6 +175,7 @@ def test_score_non_finite_exit_2(workspace, capsys):
     assert run(["score", "--model", str(model), "--dataset", str(bad),
                 "-o", str(workspace / "out.csv")]) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert not (workspace / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv,message", [

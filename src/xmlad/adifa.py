@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteData, TooFewRows
+from .errors import DimensionMismatch, TooFewRows, check_finite
 
 PSI_TAGS = ("am", "gm", "hm")
 
@@ -159,12 +159,6 @@ def _aggregate(weighted: np.ndarray, psi: str) -> np.ndarray:
     return np.where(has_zero, 0.0, out)
 
 
-def _check_finite(X: np.ndarray) -> None:
-    # min(1.0, nan) is 1.0: a NaN cell would otherwise pass as normal
-    if not np.isfinite(X).all():
-        raise NonFiniteData("input contains non-finite cells")
-
-
 def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
     """Fit the full model: attribute KDEs, entropy weights, leave-one-out
     training scores, and the meta KDE over those scores."""
@@ -174,7 +168,7 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
     m, n = X.shape
     if m < 2:
         raise TooFewRows(f"need at least 2 rows, got {m}")
-    _check_finite(X)
+    check_finite(X)
 
     sigmas, taus, norms = np.array([_fit_kernel(c) for c in X.T]).T
     entropies = [attribute_entropy(c) for c in X.T]
@@ -208,7 +202,7 @@ def _score(model: AdifaModel, X: np.ndarray):
     if X.ndim != 2 or X.shape[1] != model.n_attributes:
         raise DimensionMismatch(
             f"expected shape (*, {model.n_attributes}), got {X.shape}")
-    _check_finite(X)
+    check_finite(X)
     centers = np.stack([am.values for am in model.attributes])
     taus, norms, weights = np.array(
         [(am.tau, am.norm, am.weight) for am in model.attributes]).T

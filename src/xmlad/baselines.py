@@ -3,7 +3,9 @@ a one-class adaptation of the local outlier factor.
 
 All three operate on the flattened feature space with Euclidean distances
 (optionally z-scored) and share the train/classify shape the evaluation
-harness expects.
+harness expects.  They share one preparation too: `_fit_space` puts the
+training rows in model space and `_distances` maps query rows into it, and
+both raise NonFiniteData on a non-finite cell.
 """
 
 import math
@@ -11,22 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewRows
+from .errors import TooFewRows, check_finite
 
 _EPS = 1e-9
 
 
-def _as_matrix(dataset) -> np.ndarray:
+def _fit_space(dataset, standardize: bool):
+    """Training rows in model space, with the z-score parameters or None."""
     X = np.asarray(dataset.rows, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("dataset rows must be a 2-D matrix")
-    return X
-
-
-def _standardize_fit(X: np.ndarray):
+    check_finite(X)
+    if not standardize:
+        return X, None, None
     mu = X.mean(axis=0)
     sd = np.maximum(X.std(axis=0), _EPS)
-    return mu, sd
+    return (X - mu) / sd, mu, sd
 
 
 def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -36,12 +36,29 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _kth_nn_distance(D: np.ndarray, k: int) -> np.ndarray:
-    """Distance to the k-th nearest training point, self excluded."""
-    D = D.copy()
+def _distances(model, X) -> np.ndarray:
+    """Distances of query rows, in model space, to the training points."""
+    X = np.asarray(X, dtype=float)
+    check_finite(X)
+    if model.mu is not None:
+        X = (X - model.mu) / model.sd
+    return _pairwise_distances(X, model.training_points)
+
+
+def _self_distances(X: np.ndarray) -> np.ndarray:
+    """Training distances with each point's distance to itself set to inf."""
+    D = _pairwise_distances(X, X)
     np.fill_diagonal(D, np.inf)
-    part = np.partition(D, k - 1, axis=1)
-    return part[:, k - 1]
+    return D
+
+
+def _kth_smallest(D: np.ndarray, k: int) -> np.ndarray:
+    return np.partition(D, k - 1, axis=1)[:, k - 1]
+
+
+def _nearest(D: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest distances, ties by index."""
+    return np.argsort(D, axis=1, kind="stable")[:, :k]
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +78,11 @@ class PgaModel:
 
 def pga_train(dataset, alpha: float = 0.1, k: int = 1,
               standardize: bool = False) -> PgaModel:
-    X = _as_matrix(dataset)
-    m = X.shape[0]
+    m = len(dataset.rows)
     if m < 2 or k >= m:
         raise TooFewRows(f"need more than {k} rows, got {m}")
-    mu = sd = None
-    if standardize:
-        mu, sd = _standardize_fit(X)
-        X = (X - mu) / sd
-    D = _pairwise_distances(X, X)
-    nn = _kth_nn_distance(D, k)
+    X, mu, sd = _fit_space(dataset, standardize)
+    nn = _kth_smallest(_self_distances(X), k)
     # nearest-rank (1 - alpha) quantile of the training nn distances
     idx = max(0, math.ceil((1.0 - alpha) * m) - 1)
     cutoff = float(np.sort(nn)[idx])
@@ -80,12 +92,7 @@ def pga_train(dataset, alpha: float = 0.1, k: int = 1,
 
 def pga_scores(model: PgaModel, X) -> np.ndarray:
     """k-th nearest-neighbor distance per instance; larger = more anomalous."""
-    X = np.asarray(X, dtype=float)
-    if model.mu is not None:
-        X = (X - model.mu) / model.sd
-    D = _pairwise_distances(X, model.training_points)
-    part = np.partition(D, model.k - 1, axis=1)
-    return part[:, model.k - 1]
+    return _kth_smallest(_distances(model, X), model.k)
 
 
 def pga_classify(model: PgaModel, x):
@@ -113,18 +120,12 @@ def gde_train(dataset, sign_mode: str = "corrected",
               standardize: bool = False) -> GdeModel:
     if sign_mode not in ("corrected", "literal"):
         raise ValueError(f"unknown sign mode {sign_mode!r}")
-    X = _as_matrix(dataset)
-    m = X.shape[0]
+    m = len(dataset.rows)
     if m < 2:
         raise TooFewRows(f"need at least 2 rows, got {m}")
-    mu = sd = None
-    if standardize:
-        mu, sd = _standardize_fit(X)
-        X = (X - mu) / sd
-    D = _pairwise_distances(X, X)
-    nn = _kth_nn_distance(D, 1)
-    radius = max(2.0 * float(nn.mean()), _EPS)
-    np.fill_diagonal(D, np.inf)  # self excluded from training counts
+    X, mu, sd = _fit_space(dataset, standardize)
+    D = _self_distances(X)  # self excluded from training counts
+    radius = max(2.0 * float(_kth_smallest(D, 1).mean()), _EPS)
     counts = (D <= radius).sum(axis=1).astype(float)
     mean_n = float(counts.mean())
     std_n = max(float(counts.std()), _EPS)
@@ -135,11 +136,7 @@ def gde_train(dataset, sign_mode: str = "corrected",
 def gde_scores(model: GdeModel, X) -> np.ndarray:
     """Exponential neighbor-count score; larger = more normal in corrected
     mode, the opposite in literal mode."""
-    X = np.asarray(X, dtype=float)
-    if model.mu is not None:
-        X = (X - model.mu) / model.sd
-    D = _pairwise_distances(X, model.training_points)
-    counts = (D <= model.radius).sum(axis=1).astype(float)
+    counts = (_distances(model, X) <= model.radius).sum(axis=1).astype(float)
     z = (counts - model.mean_neighbors) / model.std_neighbors
     if model.sign_mode == "corrected":
         return np.exp(z)
@@ -169,18 +166,12 @@ class LofModel:
 
 
 def lof_train(dataset, min_pts: int = 10, standardize: bool = False) -> LofModel:
-    X = _as_matrix(dataset)
-    m = X.shape[0]
+    m = len(dataset.rows)
     if m <= min_pts:
         raise TooFewRows(f"need more than min_pts={min_pts} rows, got {m}")
-    mu = sd = None
-    if standardize:
-        mu, sd = _standardize_fit(X)
-        X = (X - mu) / sd
-    D = _pairwise_distances(X, X)
-    np.fill_diagonal(D, np.inf)
-    order = np.argsort(D, axis=1, kind="stable")
-    neighbors = order[:, :min_pts]
+    X, mu, sd = _fit_space(dataset, standardize)
+    D = _self_distances(X)
+    neighbors = _nearest(D, min_pts)
     kdist = np.take_along_axis(D, neighbors[:, -1:], axis=1)[:, 0]
     reach = np.maximum(kdist[neighbors],
                        np.take_along_axis(D, neighbors, axis=1))
@@ -193,12 +184,8 @@ def lof_train(dataset, min_pts: int = 10, standardize: bool = False) -> LofModel
 
 def lof_scores(model: LofModel, X) -> np.ndarray:
     """Local outlier factor per instance; larger = more anomalous."""
-    X = np.asarray(X, dtype=float)
-    if model.mu is not None:
-        X = (X - model.mu) / model.sd
-    D = _pairwise_distances(X, model.training_points)
-    order = np.argsort(D, axis=1, kind="stable")
-    neighbors = order[:, :model.min_pts]
+    D = _distances(model, X)
+    neighbors = _nearest(D, model.min_pts)
     dists = np.take_along_axis(D, neighbors, axis=1)
     reach = np.maximum(model.k_distances[neighbors], dists)
     lrd_x = 1.0 / np.maximum(reach.mean(axis=1), _EPS)

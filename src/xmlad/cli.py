@@ -59,6 +59,11 @@ def _write_corpus(directory: str, documents, ids):
         (out / name).write_text(doc, encoding="utf-8", newline="\n")
 
 
+_STANDARDIZE_HELP = ("z-score every column on the training rows before the "
+                     "PGA/GDE/LOF distances; without it, large-scale columns "
+                     "such as epoch-second dates dominate them")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="xmlad",
                      description="XML anomaly detection pipeline")
@@ -98,7 +103,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gde-sign-mode", default="corrected",
                    choices=["corrected", "literal"])
     p.add_argument("--lof-min-pts", type=int, default=10)
-    p.add_argument("--standardize", action="store_true")
+    p.add_argument("--standardize", action="store_true",
+                   help=_STANDARDIZE_HELP)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("score", help="score a dataset with a trained model")
@@ -138,7 +144,8 @@ def build_parser() -> _Parser:
     p.add_argument("--algos", default="adifa-gm,pga,gde,lof")
     p.add_argument("--report", required=True, help="report directory")
     p.add_argument("--lof-min-pts", type=int, default=10)
-    p.add_argument("--standardize", action="store_true")
+    p.add_argument("--standardize", action="store_true",
+                   help=_STANDARDIZE_HELP)
 
     p = sub.add_parser("learning-curve", help="nested-subset learning curve")
     p.add_argument("--dataset", required=True, help="labeled CSV")
@@ -279,12 +286,8 @@ def _cmd_inject(args) -> None:
     documents, labels, records = make_anomalous_corpus(
         corpus, schema, spec, fraction_anomalous=args.fraction, row_ids=ids)
     _write_corpus(args.output, documents, ids)
-    labels_path = Path(args.output) / "labels.csv"
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_id", "label"])
-        for rid, label in zip(ids, labels):
-            writer.writerow([rid, label])
+    _write_rows(Path(args.output) / "labels.csv",
+                [["row_id", "label"], *zip(ids, labels)])
     if args.truth_out:
         with open(args.truth_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(records_to_text(records))
@@ -323,15 +326,10 @@ def _cmd_evaluate(args) -> None:
                                        min_pts=args.lof_min_pts,
                                        standardize=args.standardize)
         log.info("%s mean AUC %.4f", tag, results[tag].mean_auc)
-    with open(report_dir / "folds.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm"] + [f"fold_{i}" for i in range(10)]
-                        + ["mean"])
-        for tag in tags:
-            r = results[tag]
-            writer.writerow([tag] + [repr(a) for a in r.fold_aucs]
-                            + [repr(r.mean_auc)])
+    header = ["algorithm"] + [f"fold_{i}" for i in range(10)] + ["mean"]
+    _write_rows(report_dir / "folds.csv", [header] + [
+        [tag] + [repr(a) for a in results[tag].fold_aucs]
+        + [repr(results[tag].mean_auc)] for tag in tags])
     if len(tags) >= 2:
         matrix = [[results[t].fold_aucs[i] for t in tags] for i in range(10)]
         report = evaluate.friedman_bonferroni(matrix, reference=0)
@@ -364,11 +362,8 @@ def _write_roc(dataset, tag, args, path):
                                      standardize=args.standardize)
     scores = evaluate.anomaly_scores(tag, model, dataset.rows[test_idx])
     curve = evaluate.roc_curve(scores, labels[test_idx])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in curve.points:
-            writer.writerow([repr(fpr), repr(tpr)])
+    _write_rows(path, [["fpr", "tpr"]] + [
+        [repr(fpr), repr(tpr)] for fpr, tpr in curve.points])
 
 
 def _cmd_learning_curve(args) -> None:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all pipeline stages."""
 
+import numpy as np
+
 
 class XmladError(Exception):
     """Base class for all data-level errors raised by this package."""
@@ -31,6 +33,12 @@ class TooFewRows(XmladError):
 
 class NonFiniteData(XmladError):
     pass
+
+
+def check_finite(X) -> None:
+    # a NaN cell would otherwise pass as normal: min(1.0, nan) is 1.0
+    if not np.isfinite(X).all():
+        raise NonFiniteData("input contains non-finite cells")
 
 
 class DimensionMismatch(XmladError):

@@ -54,8 +54,8 @@ class FeatureMatrix:
     unknown_counts: list
     diagnostics: list = field(default_factory=list)  # (row_id, message)
 
-    def to_text(self) -> str:
-        body = {
+    def save(self, path):
+        persist.write(path, "fm", {
             "schema_hash": self.schema_hash,
             "row_ids": list(self.row_ids),
             "unknown_counts": list(self.unknown_counts),
@@ -64,30 +64,19 @@ class FeatureMatrix:
                 [[mv.to_obj() for mv in cf.occurrences] for cf in row]
                 for row in self.rows
             ],
-        }
-        return persist.dumps("fm", body)
-
-    @classmethod
-    def from_text(cls, text: str) -> "FeatureMatrix":
-        body = persist.loads("fm", text)
-        rows = [
-            [ComplexFeature(j, [MeasurementVector.from_obj(o) for o in occ])
-             for j, occ in enumerate(row)]
-            for row in body["rows"]
-        ]
-        return cls(schema_hash=body["schema_hash"], rows=rows,
-                   row_ids=body["row_ids"],
-                   unknown_counts=body["unknown_counts"],
-                   diagnostics=[tuple(d) for d in body["diagnostics"]])
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_text())
+        })
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return persist.read(path, "fm", lambda body: cls(
+            schema_hash=body["schema_hash"],
+            rows=[[ComplexFeature(j, [MeasurementVector.from_obj(o)
+                                      for o in occ])
+                   for j, occ in enumerate(row)]
+                  for row in body["rows"]],
+            row_ids=body["row_ids"],
+            unknown_counts=body["unknown_counts"],
+            diagnostics=[tuple(d) for d in body["diagnostics"]]))
 
 
 def _parse_epoch_seconds(text: str) -> float:

@@ -10,6 +10,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,26 +52,12 @@ class TfIdfDictionary:
             df = 0
         return smoothed_idf(self.corpus_size, df)
 
-    def to_text(self) -> str:
-        body = {"terms": list(self.terms),
-                "doc_frequency": list(self.doc_frequency),
-                "corpus_size": self.corpus_size, "k": self.k}
-        return persist.dumps("dict", body)
-
-    @classmethod
-    def from_text(cls, text: str) -> "TfIdfDictionary":
-        body = persist.loads("dict", text)
-        return cls(tuple(body["terms"]), tuple(body["doc_frequency"]),
-                   body["corpus_size"], body["k"])
-
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_text())
+        persist.write(path, "dict", persist.encode(self))
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return persist.read(path, "dict", partial(persist.decode, cls))
 
 
 @dataclass
@@ -173,43 +160,36 @@ def tfidf(term: str, row_tokens: Counter, dictionary: TfIdfDictionary) -> float:
     return tf * dictionary.idf(term)
 
 
+# the aggregate columns per abstract type; an enumeration instead gets one
+# sum[v] column per literal v
+_AGGREGATES = {
+    AbstractType.NUMERICAL: ("min", "max", "count"),
+    AbstractType.DATE: ("min", "max", "count"),
+    AbstractType.STRING: ("min_words", "max_words", "min_chars", "max_chars",
+                          "count"),
+}
+
+
+def _aggregates(desc):
+    if desc.abstract_type is AbstractType.ENUMERATION:
+        return [f"sum[{value}]" for value in desc.enum_values]
+    return _AGGREGATES[desc.abstract_type]
+
+
 def column_plan(schema: SchemaVector, dictionary: TfIdfDictionary):
     """Deterministic column naming for a (schema, dictionary) pair."""
-    names, meta = [], []
-    for desc in schema.descriptors:
-        at = desc.abstract_type
-        if at in (AbstractType.NUMERICAL, AbstractType.DATE):
-            for kind in ("min", "max", "count"):
-                names.append(f"{desc.path}#{kind}")
-                meta.append((desc.path, kind))
-        elif at is AbstractType.ENUMERATION:
-            for value in desc.enum_values:
-                names.append(f"{desc.path}#sum[{value}]")
-                meta.append((desc.path, f"sum[{value}]"))
-        else:
-            for kind in ("min_words", "max_words", "min_chars", "max_chars",
-                         "count"):
-                names.append(f"{desc.path}#{kind}")
-                meta.append((desc.path, kind))
-    names.append("parse_failures#count")
-    meta.append(("", "parse_failures"))
-    for term in dictionary.terms:
-        names.append(f"tfidf#{term}")
-        meta.append(("", f"tfidf:{term}"))
+    meta = [(desc.path, kind) for desc in schema.descriptors
+            for kind in _aggregates(desc)]
+    terms = dictionary.terms
+    names = [f"{path}#{kind}" for path, kind in meta]
+    names += ["parse_failures#count"] + [f"tfidf#{t}" for t in terms]
+    meta += [("", "parse_failures")] + [("", f"tfidf:{t}") for t in terms]
     return tuple(names), tuple(meta)
 
 
 def expected_width(schema: SchemaVector, k_selected: int) -> int:
-    p = 1 + k_selected
-    for desc in schema.descriptors:
-        at = desc.abstract_type
-        if at in (AbstractType.NUMERICAL, AbstractType.DATE):
-            p += 3
-        elif at is AbstractType.ENUMERATION:
-            p += len(desc.enum_values)
-        else:
-            p += 5
-    return p
+    return 1 + k_selected + sum(len(_aggregates(desc))
+                                for desc in schema.descriptors)
 
 
 def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):

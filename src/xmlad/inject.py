@@ -11,7 +11,7 @@ import math
 import random
 import urllib.parse
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import persist
@@ -50,23 +50,10 @@ class InjectionSpec:
 @dataclass
 class InjectionRecord:
     document_id: str
-    injections: list  # (class value, target path, original value digest)
+    injections: list[tuple]  # (attack class, path, original value digest)
     label: str
     shortfall: bool = False
     requested: int = 0
-
-    def to_obj(self):
-        return {"document_id": self.document_id,
-                "injections": [list(i) for i in self.injections],
-                "label": self.label, "shortfall": self.shortfall,
-                "requested": self.requested}
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(document_id=obj["document_id"],
-                   injections=[tuple(i) for i in obj["injections"]],
-                   label=obj["label"], shortfall=obj["shortfall"],
-                   requested=obj["requested"])
 
 
 def _digest(text: str) -> str:
@@ -223,9 +210,9 @@ def make_anomalous_corpus(corpus, schema: SchemaVector, spec: InjectionSpec,
 
 
 def records_to_text(records) -> str:
-    return persist.dumps("truth", {"records": [r.to_obj() for r in records]})
+    return persist.dumps("truth", {"records": persist.encode(records)})
 
 
 def records_from_text(text: str):
-    body = persist.loads("truth", text)
-    return [InjectionRecord.from_obj(o) for o in body["records"]]
+    return persist.loads("truth", text, lambda body: [
+        persist.decode(InjectionRecord, o) for o in body["records"]])

@@ -6,15 +6,15 @@ dataclass, how to train it, its native scores and their polarity, and (for
 the baselines) the per-row classify call.  Adding an algorithm is one entry.
 
 Each model kind gets its own container header (xmlad-adifa, xmlad-pga, ...)
-whose body holds one key per dataclass field.  All floats survive
-serialization exactly, and kernel sums iterate stored values in stored
-order, so a loaded model reproduces classification outputs bit for bit.
+whose body holds one key per dataclass field (`persist.encode`/`decode`).
+All floats survive serialization exactly, and kernel sums iterate stored
+values in stored order, so a loaded model reproduces classification outputs
+bit for bit.
 """
 
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, Optional, get_args, get_origin
-
-import numpy as np
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 from . import adifa, baselines, persist
 from .adifa import AdifaModel
@@ -80,39 +80,11 @@ def algorithm(tag: str) -> Algorithm:
         raise ValueError(f"unknown algorithm tag {tag!r}") from None
 
 
-def _encode(value):
-    if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _decode(cls, body: dict):
-    return cls(**{f.name: _decode_field(f.type, body[f.name])
-                  for f in fields(cls)})
-
-
-def _decode_field(kind, value):
-    if value is None:
-        return None
-    if kind is np.ndarray:
-        return np.array(value, dtype=float)
-    if kind is tuple:
-        return tuple(value)
-    if get_origin(kind) is list:
-        (item,) = get_args(kind)
-        return [_decode(item, v) for v in value]
-    return value
-
-
 def save_model(model, path) -> None:
     kinds = {a.model: a.kind for a in ALGORITHMS.values()}
     if type(model) not in kinds:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    persist.write(path, kinds[type(model)], _encode(model))
+    persist.write(path, kinds[type(model)], persist.encode(model))
 
 
 def load_model(path):
@@ -121,11 +93,8 @@ def load_model(path):
     header = text.split("\n", 1)[0]
     for a in ALGORITHMS.values():
         if header.startswith(f"xmlad-{a.kind} v"):
-            body = persist.loads(a.kind, text)
-            try:
-                return a.kind, _decode(a.model, body)
-            except (KeyError, TypeError) as exc:
-                raise CorruptFile(f"unreadable {a.kind} body: {exc!r}")
+            return a.kind, persist.loads(a.kind, text,
+                                         partial(persist.decode, a.model))
     if header.startswith("xmlad-"):
         raise VersionMismatch(f"unknown model header {header!r}")
     raise CorruptFile("not an xmlad model file")

@@ -93,32 +93,21 @@ class SchemaVector:
     def paths(self):
         return [d.path for d in self.descriptors]
 
-    def to_text(self) -> str:
-        body = {
+    def save(self, path) -> None:
+        persist.write(path, "schema", {
             "source_hash": self.source_hash,
             "descriptors": [d.to_obj() for d in self.descriptors],
             "issues": [list(i) for i in self.issues],
-        }
-        return persist.dumps("schema", body)
+        })
 
     @classmethod
-    def from_text(cls, text: str) -> "SchemaVector":
-        body = persist.loads("schema", text)
-        return cls(
+    def load(cls, path) -> "SchemaVector":
+        return persist.read(path, "schema", lambda body: cls(
             descriptors=tuple(ElementDescriptor.from_obj(o)
                               for o in body["descriptors"]),
             source_hash=body["source_hash"],
             issues=tuple(tuple(i) for i in body["issues"]),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "SchemaVector":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        ))
 
 
 @dataclass

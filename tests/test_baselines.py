@@ -1,10 +1,12 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset
+from xmlad import persist
 from xmlad.baselines import (gde_classify, gde_scores, gde_train,
                              lof_classify, lof_scores, lof_train,
                              pga_classify, pga_scores, pga_train)
@@ -163,15 +165,22 @@ def test_lof_needs_enough_rows():
 
 # -- standardization -------------------------------------------------------
 
-def test_standardize_equivalent_to_prescaled_input():
+@pytest.mark.parametrize("train,scores", [
+    (partial(pga_train, alpha=0.2), pga_scores),
+    (gde_train, gde_scores),
+    (partial(lof_train, min_pts=5), lof_scores),
+], ids=["pga", "gde", "lof"])
+def test_standardize_equivalent_to_prescaled_input(train, scores):
     rng = random.Random("std")
     rows = [[rng.gauss(0, 1), rng.gauss(0, 1000)] for _ in range(25)]
     ds = make_dataset(rows)
-    scaled = pga_train(ds, alpha=0.2, standardize=True)
+    scaled = train(ds, standardize=True)
     assert scaled.mu is not None and scaled.sd is not None
     Z = (ds.rows - scaled.mu) / scaled.sd
-    plain = pga_train(make_dataset(Z), alpha=0.2)
-    assert plain.cutoff == scaled.cutoff
-    x = np.array([[5.0, 0.0]])
-    assert pga_scores(scaled, x)[0] == pytest.approx(
-        pga_scores(plain, (x - scaled.mu) / scaled.sd)[0], rel=1e-12)
+    plain = train(make_dataset(Z))
+    # every fitted field (cutoff, radius, lrd, ...) is the same
+    assert persist.encode(plain) == {**persist.encode(scaled),
+                                     "mu": None, "sd": None}
+    x = np.array([[5.0, 0.0], [0.5, 800.0], [-0.3, -150.0]])
+    assert scores(scaled, x) == pytest.approx(
+        scores(plain, (x - scaled.mu) / scaled.sd), rel=1e-12)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import PAYMENT_XSD
+from xmlad import persist
 from xmlad.cli import run
 from xmlad.flatten import FlatDataset
 from xmlad.synth import demo_schema_xsd
@@ -138,6 +139,45 @@ def _labels_missing_row(ws):
             "--labels", str(ws / "short.csv")]
 
 
+def _with_nan(dataset: Path, out: Path) -> Path:
+    """A copy of a flattened dataset with its fourth row's first cell nan."""
+    with open(dataset, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][0] = "nan"
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return out
+
+
+def _train_pga_on_nan(ws):
+    _, dataset = _pipeline(ws, count=10)
+    return ["train", "--dataset", str(_with_nan(dataset, ws / "nan.csv")),
+            "--algo", "pga", "-o", str(ws / "m")]
+
+
+def _without_key(ws, name, kind, key):
+    """A digest-valid copy of artifact `name` whose body lacks `key`."""
+    body = persist.read(ws / name, kind)
+    del body[key]
+    (ws / f"bad-{name}").write_text(persist.dumps(kind, body),
+                                    encoding="utf-8")
+    return str(ws / f"bad-{name}")
+
+
+def _dict_without_k(ws):
+    _pipeline(ws, count=10)
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
+            "--dict", _without_key(ws, "d.xaddict", "dict", "k")]
+
+
+def _schema_without_issues(ws):
+    _pipeline(ws, count=10)
+    return ["extract", str(ws / "normal"), "--schema",
+            _without_key(ws, "s.xadschema", "schema", "issues"),
+            "-o", str(ws / "o.xadfm")]
+
+
 _DATA_ERRORS = {
     "unparseable-xsd": lambda ws: _schema_parse(ws, "<broken"),
     "occurs-not-int": lambda ws: _schema_parse(ws, PAYMENT_XSD.replace(
@@ -150,6 +190,9 @@ _DATA_ERRORS = {
     "missing-model": lambda ws: ["score", "--model", str(ws / "no.xadmodel"),
                                  "--dataset", str(ws / "no.csv")],
     "labels-missing-row": _labels_missing_row,
+    "train-pga-nan": _train_pga_on_nan,
+    "dict-without-k": _dict_without_k,
+    "schema-without-issues": _schema_without_issues,
 }
 
 
@@ -162,16 +205,13 @@ def test_data_error_exit_2(workspace, capsys, case):
     assert err.startswith("xmlad:") and "Traceback" not in err
 
 
-def test_score_non_finite_exit_2(workspace, capsys):
+@pytest.mark.parametrize("algo", ["adifa", "pga", "gde", "lof"])
+def test_score_non_finite_exit_2(workspace, capsys, algo):
     _, dataset = _pipeline(workspace)
     model = workspace / "m.xadmodel"
-    assert run(["train", "--dataset", str(dataset), "-o", str(model)]) == 0
-    with open(dataset, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[3][0] = "nan"
-    bad = workspace / "nan.csv"
-    with open(bad, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    assert run(["train", "--dataset", str(dataset), "--algo", algo,
+                "-o", str(model)]) == 0
+    bad = _with_nan(dataset, workspace / "nan.csv")
     assert run(["score", "--model", str(model), "--dataset", str(bad),
                 "-o", str(workspace / "out.csv")]) == 2
     assert "non-finite" in capsys.readouterr().err

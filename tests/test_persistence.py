@@ -9,6 +9,8 @@ from xmlad import adifa, persist
 from xmlad.baselines import (gde_classify, gde_train, lof_classify,
                              lof_train, pga_classify, pga_train)
 from xmlad.errors import CorruptFile, VersionMismatch
+from xmlad.flatten import TfIdfDictionary
+from xmlad.inject import InjectionRecord, records_from_text, records_to_text
 from xmlad.model_io import load_model, save_model
 
 
@@ -112,6 +114,40 @@ def test_baseline_model_round_trips(tmp_path, trainer, classifier, kind):
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
     assert set(persist.read(path, kind)) == BODY_KEYS[kind]
+
+
+def _save_truth(records, path):
+    path.write_text(records_to_text(records), encoding="utf-8")
+
+
+# the v1 body of each non-model kind written through the dataclass codec
+ARTIFACTS = {
+    "dict": (TfIdfDictionary(("wire", "urgent"), (3, 1), 4, 2),
+             TfIdfDictionary.save, TfIdfDictionary.load,
+             '{"corpus_size":4,"doc_frequency":[3,1],"k":2,'
+             '"terms":["wire","urgent"]}'),
+    "truth": ([InjectionRecord("d0", [("Xss", "P/Name", "0123456789ab")],
+                               "anomalous", False, 1),
+               InjectionRecord("d1", [], "normal")], _save_truth,
+              lambda path: records_from_text(path.read_text("utf-8")),
+              '{"records":[{"document_id":"d0","injections":'
+              '[["Xss","P/Name","0123456789ab"]],"label":"anomalous",'
+              '"requested":1,"shortfall":false},{"document_id":"d1",'
+              '"injections":[],"label":"normal","requested":0,'
+              '"shortfall":false}]}'),
+}
+
+
+@pytest.mark.parametrize("kind", list(ARTIFACTS))
+def test_artifact_body_pinned_and_round_trips(tmp_path, kind):
+    value, save, load, body = ARTIFACTS[kind]
+    path = tmp_path / "a"
+    save(value, path)
+    assert path.read_text().splitlines()[2] == body
+    loaded = load(path)
+    assert loaded == value
+    save(loaded, tmp_path / "b")
+    assert (tmp_path / "b").read_bytes() == path.read_bytes()
 
 
 def test_load_model_rejects_garbage(tmp_path):

@@ -2,10 +2,11 @@
 a one-class adaptation of the local outlier factor.
 
 All three operate on the flattened feature space with Euclidean distances
-(optionally z-scored) and share the train/classify shape the evaluation
-harness expects.  They share one preparation too: `_fit_space` puts the
-training rows in model space and `_distances` maps query rows into it, and
-both raise NonFiniteData on a non-finite cell.
+(optionally z-scored) and share the train/scores shape the evaluation
+harness expects; each model's label rule lives in the `model_io` table.
+They share one preparation too: `_fit_space` puts the training rows in
+model space and `_distances` maps query rows into it, and both raise
+NonFiniteData on a non-finite cell.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewRows, check_finite
+from .errors import DimensionMismatch, TooFewRows, check_finite
 
 _EPS = 1e-9
 
@@ -39,6 +40,9 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _distances(model, X) -> np.ndarray:
     """Distances of query rows, in model space, to the training points."""
     X = np.asarray(X, dtype=float)
+    width = model.training_points.shape[1]
+    if X.ndim != 2 or X.shape[1] != width:
+        raise DimensionMismatch(f"expected shape (*, {width}), got {X.shape}")
     check_finite(X)
     if model.mu is not None:
         X = (X - model.mu) / model.sd
@@ -95,12 +99,6 @@ def pga_scores(model: PgaModel, X) -> np.ndarray:
     return _kth_smallest(_distances(model, X), model.k)
 
 
-def pga_classify(model: PgaModel, x):
-    score = float(pga_scores(model, np.asarray(x, dtype=float)[None, :])[0])
-    label = "anomalous" if score >= model.cutoff else "normal"
-    return score, label
-
-
 # ---------------------------------------------------------------------------
 # Global density estimation
 # ---------------------------------------------------------------------------
@@ -128,7 +126,7 @@ def gde_train(dataset, sign_mode: str = "corrected",
     radius = max(2.0 * float(_kth_smallest(D, 1).mean()), _EPS)
     counts = (D <= radius).sum(axis=1).astype(float)
     mean_n = float(counts.mean())
-    std_n = max(float(counts.std()), _EPS)
+    std_n = float(counts.std()) or 1.0  # equal counts: a spread of one
     return GdeModel(training_points=X, radius=radius, mean_neighbors=mean_n,
                     std_neighbors=std_n, sign_mode=sign_mode, mu=mu, sd=sd)
 
@@ -141,12 +139,6 @@ def gde_scores(model: GdeModel, X) -> np.ndarray:
     if model.sign_mode == "corrected":
         return np.exp(z)
     return np.exp(-z)
-
-
-def gde_classify(model: GdeModel, x):
-    score = float(gde_scores(model, np.asarray(x, dtype=float)[None, :])[0])
-    label = "normal" if score > 0.5 else "anomalous"
-    return score, label
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +182,3 @@ def lof_scores(model: LofModel, X) -> np.ndarray:
     reach = np.maximum(model.k_distances[neighbors], dists)
     lrd_x = 1.0 / np.maximum(reach.mean(axis=1), _EPS)
     return model.lrd[neighbors].mean(axis=1) / lrd_x
-
-
-def lof_classify(model: LofModel, x):
-    score = float(lof_scores(model, np.asarray(x, dtype=float)[None, :])[0])
-    label = "anomalous" if score >= model.lof_max else "normal"
-    return score, label

@@ -255,11 +255,12 @@ def _cmd_score(args) -> None:
     else:
         if args.localize:
             raise UsageError("--localize requires an adifa model")
-        classify = next(a.classify for a in model_io.ALGORITHMS.values()
-                        if a.kind == kind)
-        for i, x in enumerate(dataset.rows):
-            score, label = classify(model, x)
-            rows.append([str(i), repr(score), "", label])
+        algo = next(a for a in model_io.ALGORITHMS.values() if a.kind == kind)
+        scores = algo.scores(model, dataset.rows)
+        flags = algo.anomalous(model, scores)
+        for i, (s, bad) in enumerate(zip(scores, flags)):
+            rows.append([str(i), repr(float(s)), "",
+                         "anomalous" if bad else "normal"])
     _write_rows(args.output, rows)
 
 
@@ -345,25 +346,8 @@ def _cmd_evaluate(args) -> None:
         (report_dir / "significance.txt").write_text(
             "\n".join(lines) + "\n", encoding="utf-8")
     for tag in tags:
-        _write_roc(dataset, tag, args, report_dir / f"roc_{tag}.csv")
-
-
-def _write_roc(dataset, tag, args, path):
-    import numpy as np
-    from . import evaluate
-    labels = np.asarray(dataset.labels)
-    rng = np.random.default_rng([args.seed, 99])
-    perm = rng.permutation(len(labels))
-    half = len(labels) // 2
-    train_idx = perm[:half][labels[perm[:half]] == "normal"]
-    test_idx = perm[half:]
-    model = evaluate.train_algorithm(tag, evaluate._subset(dataset, train_idx),
-                                     min_pts=args.lof_min_pts,
-                                     standardize=args.standardize)
-    scores = evaluate.anomaly_scores(tag, model, dataset.rows[test_idx])
-    curve = evaluate.roc_curve(scores, labels[test_idx])
-    _write_rows(path, [["fpr", "tpr"]] + [
-        [repr(fpr), repr(tpr)] for fpr, tpr in curve.points])
+        _write_rows(report_dir / f"roc_{tag}.csv", [["fpr", "tpr"]] + [
+            [repr(fpr), repr(tpr)] for fpr, tpr in results[tag].roc.points])
 
 
 def _cmd_learning_curve(args) -> None:

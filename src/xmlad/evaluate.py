@@ -94,6 +94,7 @@ class CvResult:
     fold_aucs: tuple  # 10 values: 5 repetitions x 2 folds
     mean_auc: float
     seed: int
+    roc: RocCurve  # of fold 0: repetition 0, trained on its first half
 
 
 def _subset(dataset: FlatDataset, idx) -> FlatDataset:
@@ -107,7 +108,8 @@ def _subset(dataset: FlatDataset, idx) -> FlatDataset:
 
 def cv_5x2(dataset: FlatDataset, tag: str, seed: int = 0, **opts) -> CvResult:
     """Five seeded 50/50 splits with swapped roles; training folds are
-    stripped to normal rows before fitting (one-class contract)."""
+    stripped to normal rows before fitting (one-class contract).  The ROC
+    curve kept is that of the first fold, whose AUC is fold_aucs[0]."""
     if dataset.labels is None:
         raise SingleClass("dataset must carry labels")
     labels = np.asarray(dataset.labels)
@@ -128,8 +130,10 @@ def cv_5x2(dataset: FlatDataset, tag: str, seed: int = 0, **opts) -> CvResult:
             model = train_algorithm(tag, _subset(dataset, normal_idx), **opts)
             scores = anomaly_scores(tag, model, dataset.rows[test_idx])
             fold_aucs.append(auc(scores, labels[test_idx]))
+            if len(fold_aucs) == 1:
+                roc = roc_curve(scores, labels[test_idx])
     return CvResult(fold_aucs=tuple(fold_aucs),
-                    mean_auc=float(np.mean(fold_aucs)), seed=seed)
+                    mean_auc=float(np.mean(fold_aucs)), seed=seed, roc=roc)
 
 
 # ---------------------------------------------------------------------------

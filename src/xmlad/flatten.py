@@ -45,6 +45,11 @@ class TfIdfDictionary:
     corpus_size: int
     k: int
 
+    def __post_init__(self):
+        if len(self.terms) != len(self.doc_frequency):
+            raise ValueError(f"{len(self.terms)} terms but "
+                             f"{len(self.doc_frequency)} document frequencies")
+
     def idf(self, term: str) -> float:
         try:
             df = self.doc_frequency[self.terms.index(term)]

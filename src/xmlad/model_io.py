@@ -3,7 +3,8 @@
 `ALGORITHMS` maps each algorithm tag to everything the rest of the package
 needs to know about it: the container kind it is saved under, its model
 dataclass, how to train it, its native scores and their polarity, and (for
-the baselines) the per-row classify call.  Adding an algorithm is one entry.
+the baselines) the rule that labels those scores.  Adding an algorithm is
+one entry.
 
 Each model kind gets its own container header (xmlad-adifa, xmlad-pga, ...)
 whose body holds one key per dataclass field (`persist.encode`/`decode`).
@@ -29,7 +30,8 @@ class Algorithm:
     train: Callable  # (dataset, **opts) -> model; unused opts are ignored
     scores: Callable  # (model, X) -> native scores
     larger_is_normal: bool  # native scores grow with normality
-    classify: Optional[Callable] = None  # (model, x) -> (score, label)
+    # (model, native scores) -> boolean array, True where anomalous
+    anomalous: Optional[Callable] = None
 
 
 def _pick(opts: dict, *names) -> dict:
@@ -51,7 +53,7 @@ def _gde(sign_mode: str) -> Algorithm:
         lambda ds, **o: baselines.gde_train(ds, sign_mode=sign_mode,
                                             **_pick(o, "standardize")),
         lambda m, X: baselines.gde_scores(m, X), True,
-        lambda m, x: baselines.gde_classify(m, x))
+        lambda m, s: ~(s > 0.5))
 
 
 ALGORITHMS = {
@@ -61,7 +63,7 @@ ALGORITHMS = {
         lambda ds, **o: baselines.pga_train(
             ds, **_pick(o, "alpha", "k", "standardize")),
         lambda m, X: baselines.pga_scores(m, X), False,
-        lambda m, x: baselines.pga_classify(m, x)),
+        lambda m, s: s >= m.cutoff),
     "gde": _gde("corrected"),
     "gde-literal": _gde("literal"),
     "lof": Algorithm(
@@ -69,7 +71,7 @@ ALGORITHMS = {
         lambda ds, **o: baselines.lof_train(
             ds, **_pick(o, "min_pts", "standardize")),
         lambda m, X: baselines.lof_scores(m, X), False,
-        lambda m, x: baselines.lof_classify(m, x)),
+        lambda m, s: s >= m.lof_max),
 }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xmlad.flatten import FlatDataset
+from xmlad.model_io import ALGORITHMS
 from xmlad.schema import parse_xsd
 
 
@@ -12,6 +13,15 @@ def make_dataset(rows, column_names=None, labels=None):
     return FlatDataset(column_names=tuple(column_names), rows=rows,
                        column_meta=tuple(("", n) for n in column_names),
                        labels=tuple(labels) if labels is not None else None)
+
+
+def score_and_label(tag, model, x):
+    """One row's native score and label, through the algorithm table's
+    batch scores and label rule."""
+    algo = ALGORITHMS[tag]
+    scores = algo.scores(model, np.asarray([x], dtype=float))
+    label = "anomalous" if algo.anomalous(model, scores)[0] else "normal"
+    return float(scores[0]), label
 
 
 PAYMENT_XSD = """<?xml version="1.0"?>

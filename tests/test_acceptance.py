@@ -17,10 +17,10 @@ from scipy import stats
 from scipy.integrate import quad
 
 import oracle
-from conftest import make_dataset
+from conftest import make_dataset, score_and_label
 from xmlad import adifa, evaluate
 from xmlad.adifa import AttributeModel
-from xmlad.baselines import gde_classify, gde_train, pga_classify, pga_train
+from xmlad.baselines import gde_train, pga_train
 from xmlad.cli import run
 from xmlad.extract import build_feature_matrix
 from xmlad.flatten import build_dictionary, flatten_matrix
@@ -226,13 +226,13 @@ def test_acceptance_auc_oracle():
 def test_acceptance_baseline_hand_examples():
     column = make_dataset([[0.0], [1.0], [2.0], [10.0]])
     gde = gde_train(column)
-    s20, label20 = gde_classify(gde, [20.0])
-    s1, label1 = gde_classify(gde, [1.0])
+    s20, label20 = score_and_label("gde", gde, [20.0])
+    s1, label1 = score_and_label("gde", gde, [1.0])
     ok = (label20 == "anomalous" and abs(s20 - math.exp(-math.sqrt(3))) < 1e-12
           and label1 == "normal" and abs(s1 - math.exp(math.sqrt(3))) < 1e-12)
 
     pga = pga_train(make_dataset([[0.0], [1.0], [2.0]]), alpha=0.1)
-    s5, label5 = pga_classify(pga, [5.0])
+    s5, label5 = score_and_label("pga", pga, [5.0])
     ok = ok and pga.cutoff == 1.0 and s5 == 3.0 and label5 == "anomalous"
     _report("baseline hand examples (GDE {0,1,2,10}, PGA {0,1,2})", ok,
             f"gde(20)={s20:.3f}, gde(1)={s1:.2f}, pga cutoff={pga.cutoff}")

@@ -5,11 +5,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, score_and_label
 from xmlad import persist
-from xmlad.baselines import (gde_classify, gde_scores, gde_train,
-                             lof_classify, lof_scores, lof_train,
-                             pga_classify, pga_scores, pga_train)
+from xmlad.baselines import (gde_scores, gde_train, lof_scores, lof_train,
+                             pga_scores, pga_train)
 from xmlad.errors import TooFewRows
 
 
@@ -23,14 +22,14 @@ def test_pga_hand_example():
     model = pga_train(_column([0.0, 1.0, 2.0]), alpha=0.1)
     assert list(model.nn_distances) == [1.0, 1.0, 1.0]
     assert model.cutoff == 1.0
-    score, label = pga_classify(model, [5.0])
+    score, label = score_and_label("pga", model, [5.0])
     assert score == 3.0
     assert label == "anomalous"
 
 
 def test_pga_training_point_is_normal():
     model = pga_train(_column([0.0, 1.0, 2.0]), alpha=0.1)
-    score, label = pga_classify(model, [1.0])
+    score, label = score_and_label("pga", model, [1.0])
     assert score == 0.0
     assert label == "normal"
 
@@ -64,7 +63,7 @@ def test_gde_hand_example():
     assert model.radius == 5.5
     assert model.mean_neighbors == 1.5
     assert model.std_neighbors == pytest.approx(math.sqrt(0.75))
-    score, label = gde_classify(model, [20.0])
+    score, label = score_and_label("gde", model, [20.0])
     assert score == pytest.approx(math.exp(-1.5 / math.sqrt(0.75)), rel=1e-12)
     assert score == pytest.approx(0.177, abs=1e-3)
     assert label == "anomalous"
@@ -72,7 +71,7 @@ def test_gde_hand_example():
 
 def test_gde_hand_example_dense_point():
     model = gde_train(_column([0.0, 1.0, 2.0, 10.0]))
-    score, label = gde_classify(model, [1.0])
+    score, label = score_and_label("gde", model, [1.0])
     assert score == pytest.approx(5.66, abs=1e-2)
     assert label == "normal"
 
@@ -88,7 +87,19 @@ def test_gde_literal_mode_flips_sign():
 def test_gde_degenerate_training():
     model = gde_train(_column([3.0, 3.0, 3.0]))
     assert model.radius == 1e-9
-    _, label = gde_classify(model, [100.0])
+    _, label = score_and_label("gde", model, [100.0])
+    assert label == "anomalous"
+
+
+def test_gde_equal_neighbor_counts_spread_one():
+    # every training row has the same neighbor count: the spread is one
+    # neighbor, so scores stay finite and a training point is normal
+    model = gde_train(_column([3.0, 3.0, 3.0]))
+    assert model.std_neighbors == 1.0
+    score, label = score_and_label("gde", model, [3.0])
+    assert score == pytest.approx(math.e, rel=1e-12)
+    assert label == "normal"
+    _, label = score_and_label("gde", model, [100.0])
     assert label == "anomalous"
 
 
@@ -144,7 +155,7 @@ def test_lof_uniform_grid_interior_points():
 def test_lof_far_point_is_anomalous():
     grid = [[float(i)] for i in range(10)]
     model = lof_train(make_dataset(grid), min_pts=2)
-    score, label = lof_classify(model, [100.0])
+    score, label = score_and_label("lof", model, [100.0])
     assert score > model.lof_max
     assert label == "anomalous"
     assert score == pytest.approx(_brute_lof(grid, 2, [[100.0]])[0], rel=1e-9)
@@ -154,7 +165,7 @@ def test_lof_training_point_in_cluster_is_normal():
     rng = random.Random("lof-cluster")
     cluster = [[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(30)]
     model = lof_train(make_dataset(cluster), min_pts=5)
-    _, label = lof_classify(model, cluster[0])
+    _, label = score_and_label("lof", model, cluster[0])
     assert label == "normal"
 
 

@@ -1,12 +1,14 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import PAYMENT_XSD
 from xmlad import persist
 from xmlad.cli import run
 from xmlad.flatten import FlatDataset
+from xmlad.model_io import ALGORITHMS, load_model
 from xmlad.synth import demo_schema_xsd
 
 
@@ -82,6 +84,31 @@ def test_baseline_training(workspace):
     assert out.exists()
 
 
+@pytest.mark.parametrize("standardize", [False, True],
+                         ids=["plain", "standardize"])
+@pytest.mark.parametrize("algo", ["pga", "gde", "lof"])
+def test_baseline_score_writes_batch_scores(workspace, algo, standardize):
+    # the demo schema's epoch-second Stamp columns make one-row and batch
+    # distance arithmetic round differently; score must write the batch
+    _, dataset = _pipeline(workspace)
+    model = workspace / "m.xadmodel"
+    assert run(["train", "--dataset", str(dataset), "--algo", algo,
+                "-o", str(model)]
+               + (["--standardize"] if standardize else [])) == 0
+    out = workspace / "out.csv"
+    assert run(["score", "--model", str(model), "--dataset", str(dataset),
+                "-o", str(out)]) == 0
+    _, loaded = load_model(model)
+    entry = ALGORITHMS[algo]
+    scores = entry.scores(loaded, FlatDataset.from_csv(dataset).rows)
+    flags = entry.anomalous(loaded, scores)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["score"]) for r in rows] == scores.tolist()
+    assert [r["label"] for r in rows] == [
+        "anomalous" if f else "normal" for f in flags]
+
+
 def test_evaluate_reports(workspace):
     _, dataset = _pipeline(workspace, count=60)
     report = workspace / "report"
@@ -95,12 +122,16 @@ def test_evaluate_reports(workspace):
         rows = list(csv.reader(fh))
     assert len(rows) == 4  # header + 3 algorithms
     assert len(rows[1]) == 12  # tag + 10 folds + mean
+    fold_0 = {row[0]: float(row[1]) for row in rows[1:]}
     for tag in ("adifa-gm", "pga", "gde"):
         with open(report / f"roc_{tag}.csv", newline="") as fh:
             roc = list(csv.reader(fh))
         assert roc[0] == ["fpr", "tpr"]
-        assert all(0.0 <= float(cell) <= 1.0
-                   for row in roc[1:] for cell in row)
+        points = np.array([[float(c) for c in row] for row in roc[1:]])
+        assert ((0.0 <= points) & (points <= 1.0)).all()
+        # the curve is fold 0's: its area is that fold's AUC
+        area = float(np.trapezoid(points[:, 1], points[:, 0]))
+        assert area == pytest.approx(fold_0[tag], abs=1e-12)
 
 
 def test_learning_curve_command(workspace):
@@ -155,6 +186,16 @@ def _train_pga_on_nan(ws):
             "--algo", "pga", "-o", str(ws / "m")]
 
 
+def _score_pga_on_narrow_rows(ws):
+    _, dataset = _pipeline(ws, count=10)
+    assert run(["train", "--dataset", str(dataset), "--algo", "pga",
+                "-o", str(ws / "pga.xadmodel")]) == 0
+    (ws / "narrow.csv").write_text("a,b,c,d,e\n" + "1,2,3,4,5\n" * 3,
+                                   encoding="utf-8")
+    return ["score", "--model", str(ws / "pga.xadmodel"),
+            "--dataset", str(ws / "narrow.csv"), "-o", str(ws / "o.csv")]
+
+
 def _without_key(ws, name, kind, key):
     """A digest-valid copy of artifact `name` whose body lacks `key`."""
     body = persist.read(ws / name, kind)
@@ -169,6 +210,19 @@ def _dict_without_k(ws):
     return ["flatten", str(ws / "fm.xadfm"), "--schema",
             str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
             "--dict", _without_key(ws, "d.xaddict", "dict", "k")]
+
+
+def _dict_short_frequencies(ws):
+    """A digest-valid dictionary with one document frequency fewer than
+    it has terms."""
+    _pipeline(ws, count=10)
+    body = persist.read(ws / "d.xaddict", "dict")
+    body["doc_frequency"] = body["doc_frequency"][:-1]
+    (ws / "short.xaddict").write_text(persist.dumps("dict", body),
+                                      encoding="utf-8")
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
+            "--dict", str(ws / "short.xaddict")]
 
 
 def _schema_without_issues(ws):
@@ -193,6 +247,8 @@ _DATA_ERRORS = {
     "train-pga-nan": _train_pga_on_nan,
     "dict-without-k": _dict_without_k,
     "schema-without-issues": _schema_without_issues,
+    "score-pga-narrow-rows": _score_pga_on_narrow_rows,
+    "dict-short-frequencies": _dict_short_frequencies,
 }
 
 

@@ -2,8 +2,8 @@
 
 from .schema import AbstractType, ElementDescriptor, SchemaVector, \
     map_xsd_type, parse_xsd
-from .extract import (ComplexFeature, FeatureMatrix, MeasurementVector,
-                      build_feature_matrix, extract_row, measure_occurrence)
+from .extract import (FeatureMatrix, MeasurementVector, build_feature_matrix,
+                      extract_row, measure_occurrence)
 from .flatten import (FlatDataset, TfIdfDictionary, build_dictionary,
                       flatten_matrix, flatten_row, tfidf)
 from .adifa import (AdifaModel, DetectionResult, attribute_entropy,
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractType", "ElementDescriptor", "SchemaVector", "map_xsd_type",
-    "parse_xsd", "ComplexFeature", "FeatureMatrix", "MeasurementVector",
+    "parse_xsd", "FeatureMatrix", "MeasurementVector",
     "build_feature_matrix", "extract_row", "measure_occurrence",
     "FlatDataset", "TfIdfDictionary", "build_dictionary", "flatten_matrix",
     "flatten_row", "tfidf", "AdifaModel", "DetectionResult",

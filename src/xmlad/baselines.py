@@ -76,8 +76,8 @@ class PgaModel:
     alpha: float
     k: int
     cutoff: float
-    mu: np.ndarray = None
-    sd: np.ndarray = None
+    mu: np.ndarray | None = None
+    sd: np.ndarray | None = None
 
 
 def pga_train(dataset, alpha: float = 0.1, k: int = 1,
@@ -110,8 +110,8 @@ class GdeModel:
     mean_neighbors: float
     std_neighbors: float
     sign_mode: str  # "corrected" or "literal"
-    mu: np.ndarray = None
-    sd: np.ndarray = None
+    mu: np.ndarray | None = None
+    sd: np.ndarray | None = None
 
 
 def gde_train(dataset, sign_mode: str = "corrected",
@@ -133,12 +133,12 @@ def gde_train(dataset, sign_mode: str = "corrected",
 
 def gde_scores(model: GdeModel, X) -> np.ndarray:
     """Exponential neighbor-count score; larger = more normal in corrected
-    mode, the opposite in literal mode."""
+    mode, the opposite in literal mode.  It may be inf."""
     counts = (_distances(model, X) <= model.radius).sum(axis=1).astype(float)
     z = (counts - model.mean_neighbors) / model.std_neighbors
-    if model.sign_mode == "corrected":
-        return np.exp(z)
-    return np.exp(-z)
+    # a count some 710 spreads from the mean overflows exp: the score is inf
+    with np.errstate(over="ignore"):
+        return np.exp(z if model.sign_mode == "corrected" else -z)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +153,8 @@ class LofModel:
     lrd: np.ndarray
     training_lof: np.ndarray
     lof_max: float
-    mu: np.ndarray = None
-    sd: np.ndarray = None
+    mu: np.ndarray | None = None
+    sd: np.ndarray | None = None
 
 
 def lof_train(dataset, min_pts: int = 10, standardize: bool = False) -> LofModel:

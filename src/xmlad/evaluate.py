@@ -13,9 +13,7 @@ from scipy import stats
 from .errors import (DegenerateMatrix, LengthMismatch, SingleClass,
                      TooFewRows)
 from .flatten import FlatDataset
-from .model_io import ALGORITHMS, algorithm
-
-ALGORITHM_TAGS = tuple(ALGORITHMS)
+from .model_io import algorithm
 
 
 def train_algorithm(tag: str, dataset: FlatDataset, **opts):

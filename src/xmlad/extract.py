@@ -8,14 +8,15 @@ kept; they never silently disappear.
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
+from functools import partial
+from typing import NamedTuple
 
 from . import persist
 from .errors import EmptyCorpus, MalformedXml
 from .schema import AbstractType, ElementDescriptor, SchemaVector
 
 
-@dataclass(frozen=True)
-class MeasurementVector:
+class MeasurementVector(NamedTuple):
     """Scalar measurements for a single element occurrence.
 
     Layouts by abstract type: Numerical [value], Date [epoch seconds],
@@ -26,57 +27,29 @@ class MeasurementVector:
     raw_text: str = None
     failed: bool = False
 
-    def to_obj(self):
-        return [list(self.values), self.raw_text, self.failed]
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(tuple(obj[0]), obj[1], obj[2])
-
-
-@dataclass
-class ComplexFeature:
-    descriptor_index: int
-    occurrences: list = field(default_factory=list)
-
 
 @dataclass
 class ExtractedRow:
-    features: list  # one ComplexFeature per descriptor, schema order
+    # one complex feature per descriptor, schema order: the measurement
+    # vectors of that element's occurrences
+    features: list[list[MeasurementVector]]
     unknown_elements: int = 0
 
 
 @dataclass
 class FeatureMatrix:
     schema_hash: str
-    rows: list  # list of lists of ComplexFeature
+    rows: list[list[list[MeasurementVector]]]  # ExtractedRow.features
     row_ids: list
     unknown_counts: list
-    diagnostics: list = field(default_factory=list)  # (row_id, message)
+    diagnostics: list[tuple] = field(default_factory=list)  # (row_id, message)
 
     def save(self, path):
-        persist.write(path, "fm", {
-            "schema_hash": self.schema_hash,
-            "row_ids": list(self.row_ids),
-            "unknown_counts": list(self.unknown_counts),
-            "diagnostics": [list(d) for d in self.diagnostics],
-            "rows": [
-                [[mv.to_obj() for mv in cf.occurrences] for cf in row]
-                for row in self.rows
-            ],
-        })
+        persist.write(path, "fm", self)
 
     @classmethod
     def load(cls, path):
-        return persist.read(path, "fm", lambda body: cls(
-            schema_hash=body["schema_hash"],
-            rows=[[ComplexFeature(j, [MeasurementVector.from_obj(o)
-                                      for o in occ])
-                   for j, occ in enumerate(row)]
-                  for row in body["rows"]],
-            row_ids=body["row_ids"],
-            unknown_counts=body["unknown_counts"],
-            diagnostics=[tuple(d) for d in body["diagnostics"]]))
+        return persist.read(path, "fm", partial(persist.decode, cls))
 
 
 def _parse_epoch_seconds(text: str) -> float:
@@ -149,7 +122,7 @@ def extract_row(xml_text: str, schema: SchemaVector) -> ExtractedRow:
     except ET.ParseError as exc:
         raise MalformedXml(f"unparseable XML: {exc}")
     index = {d.path: i for i, d in enumerate(schema.descriptors)}
-    features = [ComplexFeature(i) for i in range(len(schema.descriptors))]
+    features = [[] for _ in schema.descriptors]
     unknown = 0
 
     def walk(elem, prefix):
@@ -159,7 +132,7 @@ def extract_row(xml_text: str, schema: SchemaVector) -> ExtractedRow:
         idx = index.get(path)
         if idx is not None:
             mv = measure_occurrence(own_text(elem), schema.descriptors[idx])
-            features[idx].occurrences.append(mv)
+            features[idx].append(mv)
         elif not children:
             unknown += 1
         for name, value in elem.attrib.items():
@@ -167,7 +140,7 @@ def extract_row(xml_text: str, schema: SchemaVector) -> ExtractedRow:
             aidx = index.get(apath)
             if aidx is not None:
                 mv = measure_occurrence(value, schema.descriptors[aidx])
-                features[aidx].occurrences.append(mv)
+                features[aidx].append(mv)
         for child in children:
             walk(child, path)
 

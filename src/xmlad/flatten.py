@@ -58,7 +58,7 @@ class TfIdfDictionary:
         return smoothed_idf(self.corpus_size, df)
 
     def save(self, path):
-        persist.write(path, "dict", persist.encode(self))
+        persist.write(path, "dict", self)
 
     @classmethod
     def load(cls, path):
@@ -131,7 +131,7 @@ def _row_tokens(row, schema: SchemaVector) -> Counter:
     for cf, desc in zip(row, schema.descriptors):
         if desc.abstract_type is not AbstractType.STRING:
             continue
-        for mv in cf.occurrences:
+        for mv in cf:
             if mv.raw_text:
                 counts.update(tokenize(mv.raw_text))
     return counts
@@ -206,15 +206,15 @@ def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
     out = []
     failures = 0
     for cf, desc in zip(row, schema.descriptors):
-        valid = [mv for mv in cf.occurrences if not mv.failed]
-        failures += sum(1 for mv in cf.occurrences if mv.failed)
+        valid = [mv for mv in cf if not mv.failed]
+        failures += sum(1 for mv in cf if mv.failed)
         at = desc.abstract_type
         if at in (AbstractType.NUMERICAL, AbstractType.DATE):
             vals = [mv.values[0] for mv in valid]
             if vals:
-                out.extend((min(vals), max(vals), float(len(cf.occurrences))))
+                out.extend((min(vals), max(vals), float(len(cf))))
             else:
-                out.extend((0.0, 0.0, float(len(cf.occurrences))))
+                out.extend((0.0, 0.0, float(len(cf))))
         elif at is AbstractType.ENUMERATION:
             counts = [0.0] * len(desc.enum_values)
             for mv in valid:
@@ -225,9 +225,9 @@ def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
             chars = [mv.values[1] for mv in valid]
             if valid:
                 out.extend((min(words), max(words), min(chars), max(chars),
-                            float(len(cf.occurrences))))
+                            float(len(cf))))
             else:
-                out.extend((0.0, 0.0, 0.0, 0.0, float(len(cf.occurrences))))
+                out.extend((0.0, 0.0, 0.0, 0.0, float(len(cf))))
     out.append(float(failures))
     tokens = _row_tokens(row, schema)
     for term in dictionary.terms:

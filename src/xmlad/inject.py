@@ -210,9 +210,9 @@ def make_anomalous_corpus(corpus, schema: SchemaVector, spec: InjectionSpec,
 
 
 def records_to_text(records) -> str:
-    return persist.dumps("truth", {"records": persist.encode(records)})
+    return persist.dumps("truth", {"records": records})
 
 
 def records_from_text(text: str):
-    return persist.loads("truth", text, lambda body: [
-        persist.decode(InjectionRecord, o) for o in body["records"]])
+    return persist.loads("truth", text, lambda body: persist.decode(
+        list[InjectionRecord], body["records"]))

@@ -7,7 +7,7 @@ the baselines) the rule that labels those scores.  Adding an algorithm is
 one entry.
 
 Each model kind gets its own container header (xmlad-adifa, xmlad-pga, ...)
-whose body holds one key per dataclass field (`persist.encode`/`decode`).
+whose body holds one key per dataclass field (`persist.dumps`/`decode`).
 All floats survive serialization exactly, and kernel sums iterate stored
 values in stored order, so a loaded model reproduces classification outputs
 bit for bit.
@@ -86,7 +86,7 @@ def save_model(model, path) -> None:
     kinds = {a.model: a.kind for a in ALGORITHMS.values()}
     if type(model) not in kinds:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    persist.write(path, kinds[type(model)], persist.encode(model))
+    persist.write(path, kinds[type(model)], model)
 
 
 def load_model(path):

@@ -11,15 +11,21 @@ The JSON body is serialized with sorted keys and no optional whitespace, so
 identical in-memory objects always produce byte-identical files.  Floats go
 through Python's repr, which round-trips exactly.
 
-`encode` and `decode` map a dataclass to its body and back, one key per
-field, driven by the field annotations.  A loader passes its builder to
-`loads`/`read`, so a digest-valid body that lacks a key or holds the wrong
-shape is reported as `CorruptFile` in one place.
+The field annotations of a dataclass are its file format: `dumps` writes
+a dataclass as an object with one key per field, and `decode` reads it back
+from those annotations.  Tuples and NamedTuples are stored as lists, str
+enums as their values, arrays as (nested) lists and an unset `T | None`
+field as null.  A loader passes its builder to `loads`/`read`, so a
+digest-valid body that lacks a key or holds the wrong shape is reported as
+`CorruptFile` in one place.
 """
 
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
+from enum import Enum
+from functools import cache
+from types import UnionType
 from typing import get_args, get_origin
 
 import numpy as np
@@ -29,9 +35,18 @@ from .errors import CorruptFile, VersionMismatch
 FORMAT_VERSION = 1
 
 
+def _plain(value):
+    """JSON data for the values the encoder cannot write itself."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
 def dumps(kind: str, body) -> str:
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"),
-                         allow_nan=False)
+                         allow_nan=False, default=_plain)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return f"xmlad-{kind} v{FORMAT_VERSION}\nsha256:{digest}\n{payload}\n"
 
@@ -78,34 +93,32 @@ def read(path, kind: str, build=None):
         return loads(kind, fh.read(), build)
 
 
-def encode(value):
-    """JSON data for a dataclass tree: ndarray and tuple become lists."""
-    if is_dataclass(value):
-        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    return value
+def decode(cls, body):
+    """A `cls` value rebuilt from the JSON data `dumps` wrote for it."""
+    return _decoder(cls)(body)
 
 
-def decode(cls, body: dict):
-    """The inverse of `encode` for dataclass `cls`, read from its
-    annotations: ndarray (float), tuple, list[T] and nested dataclasses."""
-    return cls(**{f.name: _decode_field(f.type, body[f.name])
-                  for f in fields(cls)})
-
-
-def _decode_field(kind, value):
-    if value is None:
-        return None
+@cache
+def _decoder(kind):
+    """The function that rebuilds a value of annotation `kind`: a
+    dataclass, NamedTuple, str enum, ndarray (float), tuple, tuple[T, ...],
+    list[T] or T | None; anything else is taken as it is.  Only T | None
+    admits null, so a null in place of a list or an object is corrupt."""
+    origin = get_origin(kind)
     if is_dataclass(kind):
-        return decode(kind, value)
+        items = [(f.name, _decoder(f.type)) for f in fields(kind)]
+        return lambda body: kind(**{k: dec(body[k]) for k, dec in items})
+    if origin is UnionType:  # T | None
+        dec = _decoder(get_args(kind)[0])
+        return lambda body: None if body is None else dec(body)
+    if origin in (tuple, list):
+        item = _decoder(get_args(kind)[0])
+        return lambda body: origin(map(item, body))
     if kind is np.ndarray:
-        return np.array(value, dtype=float)
-    if kind is tuple:
-        return tuple(value)
-    if get_origin(kind) is list:
-        (item,) = get_args(kind)
-        return [_decode_field(item, v) for v in value]
-    return value
+        return lambda body: np.array(body, dtype=float)
+    if kind is tuple or isinstance(kind, type) and issubclass(kind, Enum):
+        return kind
+    if isinstance(kind, type) and issubclass(kind, tuple):  # a NamedTuple
+        decs = [_decoder(kind.__annotations__[f]) for f in kind._fields]
+        return lambda b: kind(*[d(v) for d, v in zip(decs, b, strict=True)])
+    return lambda body: body

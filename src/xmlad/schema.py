@@ -10,6 +10,7 @@ import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from . import persist
 from .errors import MalformedSchema
@@ -61,53 +62,26 @@ class ElementDescriptor:
     name: str
     abstract_type: AbstractType
     enum_values: tuple = ()
-    occurs_bounds: tuple = (1, 1)  # (min, max); max None means unbounded
-
-    def to_obj(self) -> dict:
-        return {
-            "path": self.path,
-            "name": self.name,
-            "abstract_type": self.abstract_type.value,
-            "enum_values": list(self.enum_values),
-            "occurs_min": self.occurs_bounds[0],
-            "occurs_max": self.occurs_bounds[1],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ElementDescriptor":
-        return cls(
-            path=obj["path"],
-            name=obj["name"],
-            abstract_type=AbstractType(obj["abstract_type"]),
-            enum_values=tuple(obj["enum_values"]),
-            occurs_bounds=(obj["occurs_min"], obj["occurs_max"]),
-        )
+    occurs_min: int = 1
+    occurs_max: int | None = 1  # None means unbounded
 
 
 @dataclass(frozen=True)
 class SchemaVector:
-    descriptors: tuple = ()
+    descriptors: tuple[ElementDescriptor, ...] = ()
     source_hash: str = ""
-    issues: tuple = ()  # (path, message) pairs for unsupported constructs
+    # (path, message) pairs for unsupported constructs
+    issues: tuple[tuple, ...] = ()
 
     def paths(self):
         return [d.path for d in self.descriptors]
 
     def save(self, path) -> None:
-        persist.write(path, "schema", {
-            "source_hash": self.source_hash,
-            "descriptors": [d.to_obj() for d in self.descriptors],
-            "issues": [list(i) for i in self.issues],
-        })
+        persist.write(path, "schema", self)
 
     @classmethod
     def load(cls, path) -> "SchemaVector":
-        return persist.read(path, "schema", lambda body: cls(
-            descriptors=tuple(ElementDescriptor.from_obj(o)
-                              for o in body["descriptors"]),
-            source_hash=body["source_hash"],
-            issues=tuple(tuple(i) for i in body["issues"]),
-        ))
+        return persist.read(path, "schema", partial(persist.decode, cls))
 
 
 @dataclass
@@ -205,16 +179,16 @@ class _Parser:
                                    bounds, type_stack | {local})
                 return
             at, values = self.resolve_simple_name(type_name, path, type_stack)
-            self.add(ElementDescriptor(path, name, at, values, bounds))
+            self.add(ElementDescriptor(path, name, at, values, *bounds))
         elif inline_simple is not None:
             at, values = self.simple_type_info(inline_simple, path, type_stack)
-            self.add(ElementDescriptor(path, name, at, values, bounds))
+            self.add(ElementDescriptor(path, name, at, values, *bounds))
         elif inline_complex is not None:
             self.visit_complex(inline_complex, path, name, bounds, type_stack)
         else:
             # untyped element (xs:anyType); content treated as text
             self.add(ElementDescriptor(path, name, AbstractType.STRING, (),
-                                       bounds))
+                                       *bounds))
 
     def visit_complex(self, ct, path, name, bounds, type_stack):
         simple_content = ct.find(_xs("simpleContent"))
@@ -224,7 +198,7 @@ class _Parser:
             if deriv is not None:
                 at, values = self.resolve_simple_name(
                     deriv.get("base", "string"), path, type_stack)
-                self.add(ElementDescriptor(path, name, at, values, bounds))
+                self.add(ElementDescriptor(path, name, at, values, *bounds))
                 self.visit_attributes(deriv, path, type_stack)
             else:
                 self.issue(path, "empty simpleContent")
@@ -276,7 +250,7 @@ class _Parser:
                     attr.get("type", "string"), apath, type_stack)
             required = attr.get("use") == "required"
             self.add(ElementDescriptor(apath, f"@{aname}", at, values,
-                                       (1 if required else 0, 1)))
+                                       1 if required else 0, 1))
         if parent.find(_xs("anyAttribute")) is not None:
             self.issue(path, "xsd:anyAttribute is not supported")
 

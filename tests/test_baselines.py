@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -103,6 +104,19 @@ def test_gde_equal_neighbor_counts_spread_one():
     assert label == "anomalous"
 
 
+def test_gde_score_overflow_is_inf():
+    # 148 rows have 149 neighbors and two have 148, so the spread is about
+    # 0.115 neighbors; a query with no neighbors lies ~1,300 spreads below
+    # the mean and its literal-mode score exp(-z) overflows
+    X = np.eye(150)
+    X[0] = -2.0 * X[1]
+    model = gde_train(make_dataset(X), sign_mode="literal")
+    assert model.std_neighbors == pytest.approx(0.115, abs=1e-3)
+    query = np.zeros((1, 150))
+    query[0, 5] = 100.0
+    assert gde_scores(model, query)[0] == math.inf
+
+
 def test_gde_rejects_unknown_mode():
     with pytest.raises(ValueError):
         gde_train(_column([0.0, 1.0]), sign_mode="other")
@@ -190,8 +204,8 @@ def test_standardize_equivalent_to_prescaled_input(train, scores):
     Z = (ds.rows - scaled.mu) / scaled.sd
     plain = train(make_dataset(Z))
     # every fitted field (cutoff, radius, lrd, ...) is the same
-    assert persist.encode(plain) == {**persist.encode(scaled),
-                                     "mu": None, "sd": None}
+    assert persist.dumps("m", plain) == persist.dumps(
+        "m", replace(scaled, mu=None, sd=None))
     x = np.array([[5.0, 0.0], [0.5, 800.0], [-0.3, -150.0]])
     assert scores(scaled, x) == pytest.approx(
         scores(plain, (x - scaled.mu) / scaled.sd), rel=1e-12)

@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import PAYMENT_XSD
+import xmlad
 from xmlad import persist
 from xmlad.cli import run
 from xmlad.flatten import FlatDataset
@@ -17,6 +21,16 @@ def workspace(tmp_path):
     (tmp_path / "schema.xsd").write_text(demo_schema_xsd(3, 3, 1, 1),
                                          encoding="utf-8")
     return tmp_path
+
+
+def test_import_loads_no_scipy():
+    # scipy takes most of a second to import and only `evaluate` needs it
+    code = ("import sys, xmlad, xmlad.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(xmlad.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _pipeline(ws: Path, seed=0, count=40):
@@ -232,6 +246,19 @@ def _schema_without_issues(ws):
             "-o", str(ws / "o.xadfm")]
 
 
+def _fm_occurrence(ws, change):
+    """A digest-valid feature matrix whose first [values, raw_text,
+    failed] occurrence `o` is replaced by `change(o)`."""
+    _pipeline(ws, count=10)
+    body = persist.read(ws / "fm.xadfm", "fm")
+    occurrences = body["rows"][0][0]
+    occurrences[0] = change(occurrences[0])
+    (ws / "bad.xadfm").write_text(persist.dumps("fm", body),
+                                  encoding="utf-8")
+    return ["flatten", str(ws / "bad.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv")]
+
+
 _DATA_ERRORS = {
     "unparseable-xsd": lambda ws: _schema_parse(ws, "<broken"),
     "occurs-not-int": lambda ws: _schema_parse(ws, PAYMENT_XSD.replace(
@@ -249,6 +276,11 @@ _DATA_ERRORS = {
     "schema-without-issues": _schema_without_issues,
     "score-pga-narrow-rows": _score_pga_on_narrow_rows,
     "dict-short-frequencies": _dict_short_frequencies,
+    "fm-short-occurrence": lambda ws: _fm_occurrence(ws, lambda o: o[:2]),
+    "fm-long-occurrence": lambda ws: _fm_occurrence(
+        ws, lambda o: o + [None]),
+    "fm-null-values": lambda ws: _fm_occurrence(
+        ws, lambda o: [None, *o[1:]]),
 }
 
 

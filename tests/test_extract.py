@@ -47,8 +47,7 @@ def test_payment_row(payment_schema):
     doc = ("<Payment><PaymentAmount>100</PaymentAmount>"
            "<PyValue>B</PyValue><Name>John Doe</Name></Payment>")
     row = extract_row(doc, payment_schema)
-    values = [[list(mv.values) for mv in cf.occurrences]
-              for cf in row.features]
+    values = [[list(mv.values) for mv in cf] for cf in row.features]
     assert values == [[[100.0]], [[1.0]], [[2.0, 8.0]]]
     assert row.unknown_elements == 0
 
@@ -58,12 +57,12 @@ def test_repeated_occurrences_collected_in_order(payment_schema):
            "<Name>a</Name><Name>b b</Name></Payment>")
     row = extract_row(doc, payment_schema)
     name_cf = row.features[2]
-    assert [mv.raw_text for mv in name_cf.occurrences] == ["a", "b b"]
+    assert [mv.raw_text for mv in name_cf] == ["a", "b b"]
 
 
 def test_document_without_schema_elements(payment_schema):
     row = extract_row("<Payment/>", payment_schema)
-    assert all(cf.occurrences == [] for cf in row.features)
+    assert all(cf == [] for cf in row.features)
 
 
 def test_unknown_elements_tallied(payment_schema):
@@ -76,7 +75,7 @@ def test_unknown_elements_tallied(payment_schema):
 def test_mixed_content_concatenates_text(payment_schema):
     doc = ("<Payment><Name>one <b/>two</Name></Payment>")
     row = extract_row(doc, payment_schema)
-    mv = row.features[2].occurrences[0]
+    mv = row.features[2][0]
     assert mv.raw_text == "one two"
     assert mv.values == (2.0, 7.0)
 
@@ -115,4 +114,4 @@ def test_matrix_round_trip(tmp_path, payment_schema):
     loaded = FeatureMatrix.load(path)
     loaded.save(tmp_path / "m2.xadfm")
     assert (tmp_path / "m2.xadfm").read_bytes() == path.read_bytes()
-    assert loaded.rows[0][0].occurrences[0].values == (7.5,)
+    assert loaded.rows[0][0][0].values == (7.5,)

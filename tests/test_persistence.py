@@ -8,9 +8,11 @@ from conftest import make_dataset, score_and_label
 from xmlad import adifa, persist
 from xmlad.baselines import gde_train, lof_train, pga_train
 from xmlad.errors import CorruptFile, VersionMismatch
+from xmlad.extract import FeatureMatrix, MeasurementVector
 from xmlad.flatten import TfIdfDictionary
 from xmlad.inject import InjectionRecord, records_from_text, records_to_text
 from xmlad.model_io import load_model, save_model
+from xmlad.schema import AbstractType, ElementDescriptor, SchemaVector
 
 
 def test_container_round_trip():
@@ -122,6 +124,33 @@ def _save_truth(records, path):
 
 # the v1 body of each non-model kind written through the dataclass codec
 ARTIFACTS = {
+    "schema": (SchemaVector((
+        ElementDescriptor("Order/@id", "@id", AbstractType.NUMERICAL),
+        ElementDescriptor("Order/Paid", "Paid", AbstractType.ENUMERATION,
+                          ("false", "true"), 0, 1),
+        ElementDescriptor("Order/Item", "Item", AbstractType.STRING, (),
+                          1, None)),
+        "ab12", (("Order", "xsd:any is not supported"),)),
+        SchemaVector.save, SchemaVector.load,
+        '{"descriptors":[{"abstract_type":"Numerical","enum_values":[],'
+        '"name":"@id","occurs_max":1,"occurs_min":1,"path":"Order/@id"},'
+        '{"abstract_type":"Enumeration","enum_values":["false","true"],'
+        '"name":"Paid","occurs_max":1,"occurs_min":0,"path":"Order/Paid"},'
+        '{"abstract_type":"String","enum_values":[],"name":"Item",'
+        '"occurs_max":null,"occurs_min":1,"path":"Order/Item"}],'
+        '"issues":[["Order","xsd:any is not supported"]],'
+        '"source_hash":"ab12"}'),
+    "fm": (FeatureMatrix("ab12", [
+        [[MeasurementVector((3.0,))], [MeasurementVector((), failed=True)],
+         [MeasurementVector((2.0, 9.0), "Jane Roe")]],
+        [[], [MeasurementVector((1.0,)), MeasurementVector((0.0,))], []]],
+        ["r0", "r2"], [0, 1], [("r1", "unparseable XML")]),
+        FeatureMatrix.save, FeatureMatrix.load,
+        '{"diagnostics":[["r1","unparseable XML"]],"row_ids":["r0","r2"],'
+        '"rows":[[[[[3.0],null,false]],[[[],null,true]],'
+        '[[[2.0,9.0],"Jane Roe",false]]],[[],[[[1.0],null,false],'
+        '[[0.0],null,false]],[]]],"schema_hash":"ab12",'
+        '"unknown_counts":[0,1]}'),
     "dict": (TfIdfDictionary(("wire", "urgent"), (3, 1), 4, 2),
              TfIdfDictionary.save, TfIdfDictionary.load,
              '{"corpus_size":4,"doc_frequency":[3,1],"k":2,'

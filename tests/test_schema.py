@@ -160,7 +160,7 @@ def test_occurs_bounds():
     </xsd:schema>
     """
     desc = parse_xsd(xsd).descriptors[0]
-    assert desc.occurs_bounds == (0, None)
+    assert (desc.occurs_min, desc.occurs_max) == (0, None)
 
 
 def test_malformed_xsd_raises():

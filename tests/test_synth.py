@@ -48,8 +48,8 @@ def test_generated_documents_match_schema(demo30):
     assert fm.unknown_counts == [0] * 10
     for row in fm.rows:
         for cf in row:
-            assert len(cf.occurrences) == 1
-            assert not cf.occurrences[0].failed
+            assert len(cf) == 1
+            assert not cf[0].failed
 
 
 def test_missing_params_raise(demo30):

@@ -73,6 +73,11 @@ class AttributeModel:
 
 @dataclass
 class AdifaModel:
+    """A trained model.  Its kernel arrays, which `_score` reads, are
+    stacked once at construction and loading; they are not fields, so they
+    are not persisted.  Nothing in the package changes a model after it is
+    built, so they never go stale."""
+
     attributes: list[AttributeModel]
     psi: str  # one of PSI_TAGS
     training_scores: np.ndarray
@@ -82,6 +87,11 @@ class AdifaModel:
     calibration_max: float
     threshold: float
     column_names: tuple
+
+    def __post_init__(self):
+        self._centers = np.stack([am.values for am in self.attributes])
+        self._taus, self._norms, self._weights = np.array(
+            [(am.tau, am.norm, am.weight) for am in self.attributes]).T
 
     @property
     def n_attributes(self) -> int:
@@ -203,11 +213,10 @@ def _score(model: AdifaModel, X: np.ndarray):
         raise DimensionMismatch(
             f"expected shape (*, {model.n_attributes}), got {X.shape}")
     check_finite(X)
-    centers = np.stack([am.values for am in model.attributes])
-    taus, norms, weights = np.array(
-        [(am.tau, am.norm, am.weight) for am in model.attributes]).T
-    d = norms * (_kernel_sums(centers, taus, X) / centers.shape[1])
-    scores = _aggregate(weights * d, model.psi)
+    centers = model._centers
+    d = model._norms * (_kernel_sums(centers, model._taus, X)
+                        / centers.shape[1])
+    scores = _aggregate(model._weights * d, model.psi)
     s = model.training_scores
     densities = model.meta_norm * (_kernel_sums(
         s[None, :], [model.meta_tau], scores[:, None])[:, 0] / len(s))

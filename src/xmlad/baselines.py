@@ -82,6 +82,8 @@ class PgaModel:
 
 def pga_train(dataset, alpha: float = 0.1, k: int = 1,
               standardize: bool = False) -> PgaModel:
+    if k < 1 or not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"need k >= 1 and alpha in [0, 1], got {k}, {alpha}")
     m = len(dataset.rows)
     if m < 2 or k >= m:
         raise TooFewRows(f"need more than {k} rows, got {m}")
@@ -158,6 +160,8 @@ class LofModel:
 
 
 def lof_train(dataset, min_pts: int = 10, standardize: bool = False) -> LofModel:
+    if min_pts < 1:
+        raise ValueError(f"need min_pts >= 1, got {min_pts}")
     m = len(dataset.rows)
     if m <= min_pts:
         raise TooFewRows(f"need more than min_pts={min_pts} rows, got {m}")

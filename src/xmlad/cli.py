@@ -59,6 +59,22 @@ def _write_corpus(directory: str, documents, ids):
         (out / name).write_text(doc, encoding="utf-8", newline="\n")
 
 
+def _bounded(cast, ok, text):
+    """An argparse type: `cast` the value, then accept it only if `ok`."""
+    def parse(arg):
+        value = cast(arg)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{arg} is not {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in a cast error
+    return parse
+
+
+_AT_LEAST_0 = _bounded(int, lambda v: v >= 0, "an integer >= 0")
+_AT_LEAST_1 = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_PROPORTION = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE_PROPORTION = _bounded(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
 _STANDARDIZE_HELP = ("z-score every column on the training rows before the "
                      "PGA/GDE/LOF distances; without it, large-scale columns "
                      "such as epoch-second dates dominate them")
@@ -89,7 +105,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dict-out", help="also write the TF-IDF dictionary here")
     p.add_argument("--dict", dest="dict_in",
                    help="reuse a training dictionary instead of building one")
-    p.add_argument("--tfidf-k", type=int, default=DEFAULT_TFIDF_K)
+    p.add_argument("--tfidf-k", type=_AT_LEAST_0, default=DEFAULT_TFIDF_K)
     p.add_argument("--labels", help="CSV of row_id,label to attach")
 
     p = sub.add_parser("train", help="train a detector on a CSV dataset")
@@ -98,11 +114,11 @@ def build_parser() -> _Parser:
         {a.kind for a in model_io.ALGORITHMS.values()}))
     p.add_argument("--psi", default="gm", choices=list(adifa.PSI_TAGS))
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--pga-alpha", type=float, default=0.1)
-    p.add_argument("--pga-k", type=int, default=1)
+    p.add_argument("--pga-alpha", type=_PROPORTION, default=0.1)
+    p.add_argument("--pga-k", type=_AT_LEAST_1, default=1)
     p.add_argument("--gde-sign-mode", default="corrected",
                    choices=["corrected", "literal"])
-    p.add_argument("--lof-min-pts", type=int, default=10)
+    p.add_argument("--lof-min-pts", type=_AT_LEAST_1, default=10)
     p.add_argument("--standardize", action="store_true",
                    help=_STANDARDIZE_HELP)
     p.add_argument("-o", "--output", required=True)
@@ -124,8 +140,8 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", required=True)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--anomaly-index", type=float, required=True)
-    p.add_argument("--fraction", type=float, default=1.0,
+    p.add_argument("--anomaly-index", type=_POSITIVE_PROPORTION, required=True)
+    p.add_argument("--fraction", type=_POSITIVE_PROPORTION, default=1.0,
                    help="fraction of documents to inject")
     p.add_argument("--classes",
                    help="comma list from: valuepoisoning,xss,cdata,xpath,leak")
@@ -143,7 +159,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="labeled CSV")
     p.add_argument("--algos", default="adifa-gm,pga,gde,lof")
     p.add_argument("--report", required=True, help="report directory")
-    p.add_argument("--lof-min-pts", type=int, default=10)
+    p.add_argument("--lof-min-pts", type=_AT_LEAST_1, default=10)
     p.add_argument("--standardize", action="store_true",
                    help=_STANDARDIZE_HELP)
 
@@ -298,7 +314,11 @@ def _cmd_gen_corpus(args) -> None:
     schema = SchemaVector.load(args.schema)
     if args.params:
         with open(args.params, "r", encoding="utf-8") as fh:
-            params = synth.params_from_obj(schema, json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # not JSON, or undecodable bytes
+                raise CorruptFile(f"{args.params}: {exc}") from None
+        params = synth.params_from_obj(schema, obj)
     else:
         params = synth.demo_params(schema, seed=args.seed)
     docs = synth.generate_normal_corpus(schema, params, args.count,

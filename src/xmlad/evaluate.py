@@ -37,50 +37,49 @@ class RocCurve:
     auc: float
 
 
-def _validate_labels(scores, labels):
+def _ranked(scores, labels):
+    """The one sort behind `auc` and `roc_curve`.
+
+    Scores go highest first with equal scores (equal infinities too) in one
+    group.  Returns the cumulative anomalous and normal counts after each
+    group, each led by a 0, so that their last entries are the class sizes.
+    Only "anomalous" and "normal" rows count; any other label is in neither.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    pos = labels == "anomalous"
-    neg = labels == "normal"
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise LengthMismatch("scores and labels must be 1-D of equal length")
+    order = np.argsort(-scores, kind="stable")
+    pos = labels[order] == "anomalous"
+    neg = labels[order] == "normal"
     if not pos.any() or not neg.any():
         raise SingleClass("both classes must be present")
-    return scores, pos, neg
+    s = scores[order]
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), len(s) - 1)
+    return (np.append(0, np.cumsum(pos)[ends]),
+            np.append(0, np.cumsum(neg)[ends]))
+
+
+def _area(tp, fp) -> float:
+    # twice the Mann-Whitney count U: a group's normal rows pair with the
+    # tp[g-1] anomalous rows above the group and the tp[g] - tp[g-1] tied
+    # in it, which count one half.  2U is an exact integer, divided once.
+    twice = int((np.diff(fp) * (tp[1:] + tp[:-1])).sum())
+    return twice / (2 * int(tp[-1]) * int(fp[-1]))
 
 
 def auc(scores, labels) -> float:
-    """Rank-statistic AUC; anomalous is positive, ties count one half."""
-    scores, pos, neg = _validate_labels(scores, labels)
-    ranks = stats.rankdata(scores, method="average")
-    n_pos = int(pos.sum())
-    n_neg = int(neg.sum())
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0)
-                 / (n_pos * n_neg))
+    """Share of (anomalous, normal) pairs that the anomalous row outscores,
+    ties counting one half: the exact Mann-Whitney area."""
+    return _area(*_ranked(scores, labels))
 
 
 def roc_curve(scores, labels) -> RocCurve:
-    """Threshold sweep over distinct score values, highest first."""
-    scores, pos, neg = _validate_labels(scores, labels)
-    n_pos = float(pos.sum())
-    n_neg = float(neg.sum())
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = pos[order].astype(float)
-    points = [(0.0, 0.0)]
-    tp = fp = 0.0
-    i = 0
-    m = len(scores)
-    while i < m:
-        j = i
-        while j < m and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += sorted_pos[i:j].sum()
-        fp += (j - i) - sorted_pos[i:j].sum()
-        points.append((float(fp / n_neg), float(tp / n_pos)))
-        i = j
-    fprs = np.array([p[0] for p in points])
-    tprs = np.array([p[1] for p in points])
-    area = float(np.trapezoid(tprs, fprs))
-    return RocCurve(points=points, auc=area)
+    """Threshold sweep over distinct score values, highest first; its area
+    is `auc` of the same scores, bit for bit."""
+    tp, fp = _ranked(scores, labels)
+    points = list(zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist()))
+    return RocCurve(points=points, auc=_area(tp, fp))
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +123,13 @@ def cv_5x2(dataset: FlatDataset, tag: str, seed: int = 0, **opts) -> CvResult:
             normal_idx = train_idx[labels[train_idx] == "normal"]
             if len(normal_idx) < 2:
                 raise TooFewRows("not enough normal rows in a training fold")
-            assert (labels[normal_idx] == "normal").all()
             model = train_algorithm(tag, _subset(dataset, normal_idx), **opts)
             scores = anomaly_scores(tag, model, dataset.rows[test_idx])
-            fold_aucs.append(auc(scores, labels[test_idx]))
-            if len(fold_aucs) == 1:
+            if fold_aucs:
+                fold_aucs.append(auc(scores, labels[test_idx]))
+            else:  # fold 0 keeps its curve, whose area is its AUC
                 roc = roc_curve(scores, labels[test_idx])
+                fold_aucs.append(roc.auc)
     return CvResult(fold_aucs=tuple(fold_aucs),
                     mean_auc=float(np.mean(fold_aucs)), seed=seed, roc=roc)
 
@@ -197,14 +197,12 @@ def friedman_bonferroni(auc_matrix, reference: int = 0,
             return "equal"
         return "better" if rank_j < rank_i else "worse"
 
-    post_hoc = tuple(outcome(mean_ranks[reference], mean_ranks[j])
-                     for j in range(k))
     pairwise = tuple(tuple(outcome(mean_ranks[i], mean_ranks[j])
                            for j in range(k)) for i in range(k))
     return SignificanceReport(friedman_p=friedman_p,
                               mean_ranks=tuple(float(r) for r in mean_ranks),
-                              critical_difference=cd, post_hoc=post_hoc,
-                              pairwise=pairwise)
+                              critical_difference=cd,
+                              post_hoc=pairwise[reference], pairwise=pairwise)
 
 
 # ---------------------------------------------------------------------------

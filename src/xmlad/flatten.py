@@ -20,6 +20,7 @@ from .extract import FeatureMatrix
 from .schema import AbstractType, SchemaVector
 
 DEFAULT_TFIDF_K = 10
+LABELS = ("normal", "anomalous")
 
 _STRIP_CHARS = string.punctuation
 
@@ -92,7 +93,8 @@ class FlatDataset:
 
     @classmethod
     def from_csv(cls, path) -> "FlatDataset":
-        """Read a dataset; an empty, ragged or non-numeric one is corrupt."""
+        """Read a dataset; an empty, ragged or non-numeric one is corrupt,
+        and so is a label other than "normal" or "anomalous"."""
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 reader = csv.reader(fh)
@@ -107,6 +109,10 @@ class FlatDataset:
                         raise CorruptFile(f"{path}: line {reader.line_num} "
                                           f"has {len(cells)} cells")
                     if has_label:
+                        if cells[-1] not in LABELS:
+                            raise CorruptFile(
+                                f"{path}: line {reader.line_num} has label "
+                                f"{cells[-1]!r}, not one of {LABELS}")
                         labels.append(cells[-1])
                         cells = cells[:-1]
                     rows.append([float(c) for c in cells])
@@ -137,9 +143,18 @@ def _row_tokens(row, schema: SchemaVector) -> Counter:
     return counts
 
 
+def _check_schema(matrix: FeatureMatrix, schema: SchemaVector) -> None:
+    # a matrix extracted under another schema would fill the wrong columns
+    if matrix.schema_hash != schema.source_hash:
+        raise SchemaMismatch(
+            f"feature matrix was extracted under schema "
+            f"{matrix.schema_hash[:12]}..., not {schema.source_hash[:12]}...")
+
+
 def build_dictionary(matrix: FeatureMatrix, schema: SchemaVector,
                      k: int = DEFAULT_TFIDF_K) -> TfIdfDictionary:
     """Select the top-k terms by summed TF-IDF over the training corpus."""
+    _check_schema(matrix, schema)
     m = len(matrix.rows)
     df = Counter()
     total_tf = Counter()
@@ -237,6 +252,7 @@ def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
 
 def flatten_matrix(matrix: FeatureMatrix, schema: SchemaVector,
                    dictionary: TfIdfDictionary, labels=None) -> FlatDataset:
+    _check_schema(matrix, schema)
     names, meta = column_plan(schema, dictionary)
     rows = []
     for rid, row in zip(matrix.row_ids, matrix.rows):

@@ -98,6 +98,12 @@ def decode(cls, body):
     return _decoder(cls)(body)
 
 
+def _array(body) -> np.ndarray:
+    if not isinstance(body, list):  # np.array(None) would be a 0-d nan
+        raise TypeError(f"an array must be a list, not {type(body).__name__}")
+    return np.array(body, dtype=float)
+
+
 @cache
 def _decoder(kind):
     """The function that rebuilds a value of annotation `kind`: a
@@ -115,7 +121,7 @@ def _decoder(kind):
         item = _decoder(get_args(kind)[0])
         return lambda body: origin(map(item, body))
     if kind is np.ndarray:
-        return lambda body: np.array(body, dtype=float)
+        return _array
     if kind is tuple or isinstance(kind, type) and issubclass(kind, Enum):
         return kind
     if isinstance(kind, type) and issubclass(kind, tuple):  # a NamedTuple

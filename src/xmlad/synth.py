@@ -213,9 +213,14 @@ def params_from_obj(schema: SchemaVector, obj: dict) -> dict:
                                          o.get("std_words", 1.0)),
     }
     params = {}
-    for path, spec in obj.items():
-        kind = spec["kind"]
-        if kind not in decoders:
-            raise MissingParams(f"unknown param kind {kind!r} for {path!r}")
-        params[path] = decoders[kind](spec)
+    try:
+        for path, spec in obj.items():
+            kind = spec["kind"]
+            if kind not in decoders:
+                raise MissingParams(
+                    f"unknown param kind {kind!r} for {path!r}")
+            params[path] = decoders[kind](spec)
+    except (AttributeError, KeyError, TypeError) as exc:
+        # a missing key, or a value that is not a {key: value} object
+        raise MissingParams(f"malformed params: {exc!r}") from None
     return params

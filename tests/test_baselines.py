@@ -57,6 +57,12 @@ def test_pga_too_few_rows():
         pga_train(_column([1.0, 2.0]), k=2)
 
 
+@pytest.mark.parametrize("opts", [{"k": 0}, {"alpha": -0.1}, {"alpha": 1.5}])
+def test_pga_rejects_out_of_range_options(opts):
+    with pytest.raises(ValueError):
+        pga_train(_column([1.0, 2.0, 3.0]), **opts)
+
+
 # -- GDE -------------------------------------------------------------------
 
 def test_gde_hand_example():
@@ -186,6 +192,11 @@ def test_lof_training_point_in_cluster_is_normal():
 def test_lof_needs_enough_rows():
     with pytest.raises(TooFewRows):
         lof_train(_column([1.0, 2.0, 3.0]), min_pts=5)
+
+
+def test_lof_rejects_min_pts_below_one():
+    with pytest.raises(ValueError):
+        lof_train(_column([1.0, 2.0, 3.0]), min_pts=0)
 
 
 # -- standardization -------------------------------------------------------

@@ -259,6 +259,51 @@ def _fm_occurrence(ws, change):
             str(ws / "s.xadschema"), "-o", str(ws / "o.csv")]
 
 
+def _evaluate_unknown_label(ws):
+    """A labelled dataset with some rows relabelled `norml`."""
+    _, dataset = _pipeline(ws, count=20)
+    with open(dataset, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:6]:
+        row[-1] = "norml"
+    with open(ws / "relabelled.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return ["evaluate", "--dataset", str(ws / "relabelled.csv"),
+            "--algos", "adifa-gm,pga", "--report", str(ws / "r")]
+
+
+def _flatten_other_schema(ws):
+    """A feature matrix flattened with a schema other than its own, one of
+    the same number of elements."""
+    _pipeline(ws, count=10)
+    (ws / "other.xsd").write_text(demo_schema_xsd(4, 2, 1, 1),
+                                  encoding="utf-8")
+    assert run(["schema-parse", str(ws / "other.xsd"),
+                "-o", str(ws / "other.xadschema")]) == 0
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "other.xadschema"), "-o", str(ws / "o.csv")]
+
+
+def _gen_corpus_params(ws, text):
+    _pipeline(ws, count=10)
+    (ws / "params.json").write_text(text, encoding="utf-8")
+    return ["gen-corpus", "--schema", str(ws / "s.xadschema"), "--params",
+            str(ws / "params.json"), "-n", "3", "--out", str(ws / "gen")]
+
+
+def _model_null_array(ws):
+    """A digest-valid pga model whose training points are null."""
+    _, dataset = _pipeline(ws, count=10)
+    assert run(["train", "--dataset", str(dataset), "--algo", "pga",
+                "-o", str(ws / "pga.xadmodel")]) == 0
+    body = persist.read(ws / "pga.xadmodel", "pga")
+    body["training_points"] = None
+    (ws / "null.xadmodel").write_text(persist.dumps("pga", body),
+                                      encoding="utf-8")
+    return ["score", "--model", str(ws / "null.xadmodel"),
+            "--dataset", str(dataset), "-o", str(ws / "o.csv")]
+
+
 _DATA_ERRORS = {
     "unparseable-xsd": lambda ws: _schema_parse(ws, "<broken"),
     "occurs-not-int": lambda ws: _schema_parse(ws, PAYMENT_XSD.replace(
@@ -281,6 +326,12 @@ _DATA_ERRORS = {
         ws, lambda o: o + [None]),
     "fm-null-values": lambda ws: _fm_occurrence(
         ws, lambda o: [None, *o[1:]]),
+    "evaluate-unknown-label": _evaluate_unknown_label,
+    "flatten-other-schema": _flatten_other_schema,
+    "params-missing-key": lambda ws: _gen_corpus_params(  # no "std"
+        ws, '{"Transaction/Amounts/Amount0": {"kind": "numeric", "mean": 1}}'),
+    "params-not-json": lambda ws: _gen_corpus_params(ws, "mean: 1.0"),
+    "model-null-array": _model_null_array,
 }
 
 
@@ -315,8 +366,28 @@ def test_score_non_finite_exit_2(workspace, capsys, algo):
       "--report", "{ws}/r"], "unknown algorithm tag"),
     (["learning-curve", "--dataset", "{ws}/d.csv", "--algo", "bogus"],
      "unknown algorithm tag"),
+    (["train", "--dataset", "{ws}/d.csv", "--algo", "pga", "--pga-k", "0",
+      "-o", "{ws}/m"], "--pga-k: 0 is not an integer >= 1"),
+    (["train", "--dataset", "{ws}/d.csv", "--algo", "pga", "--pga-alpha",
+      "1.5", "-o", "{ws}/m"], "--pga-alpha: 1.5 is not in [0, 1]"),
+    (["train", "--dataset", "{ws}/d.csv", "--algo", "lof", "--lof-min-pts",
+      "0", "-o", "{ws}/m"], "--lof-min-pts: 0 is not an integer >= 1"),
+    (["evaluate", "--dataset", "{ws}/d.csv", "--lof-min-pts", "0",
+      "--report", "{ws}/r"], "--lof-min-pts: 0 is not an integer >= 1"),
+    (["inject", "--schema", "{ws}/s.xadschema", "--in", "{ws}/normal",
+      "--out", "{ws}/x", "--anomaly-index", "2"],
+     "--anomaly-index: 2 is not in (0, 1]"),
+    (["inject", "--schema", "{ws}/s.xadschema", "--in", "{ws}/normal",
+      "--out", "{ws}/x", "--anomaly-index", "0.1", "--fraction", "0"],
+     "--fraction: 0 is not in (0, 1]"),
+    (["flatten", "{ws}/fm.xadfm", "--schema", "{ws}/s.xadschema",
+      "-o", "{ws}/o.csv", "--tfidf-k", "-1"],
+     "--tfidf-k: -1 is not an integer >= 0"),
 ], ids=["unknown-flag", "unknown-attack-class", "unknown-evaluate-algo",
-        "unknown-learning-curve-algo"])
+        "unknown-learning-curve-algo", "train-pga-k-0",
+        "train-pga-alpha-1.5", "train-lof-min-pts-0", "evaluate-lof-min-pts-0",
+        "inject-anomaly-index-2", "inject-fraction-0",
+        "flatten-tfidf-k-negative"])
 def test_usage_error_exit_1(workspace, capsys, argv, message):
     _pipeline(workspace, count=10)
     assert run([a.replace("{ws}", str(workspace)) for a in argv]) == 1

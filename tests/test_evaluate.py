@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -61,13 +62,26 @@ def test_roc_reversed_polarity():
 
 
 def test_roc_area_matches_auc():
+    # the curve's area is the pair-counted AUC bit for bit, also with ties
+    # at +-inf
     rng = random.Random("roc-auc")
-    for _ in range(20):
-        scores = [rng.randrange(6) for _ in range(30)]
-        labels = (["normal"] * 15 + ["anomalous"] * 15)
+    values = [0.0, 1.0, 2.0, 3.0, math.inf, -math.inf]
+    for _ in range(40):
+        m = rng.randrange(7, 60)
+        scores = [rng.choice(values) for _ in range(m)]
+        labels = ["normal", "anomalous"] + [
+            rng.choice(["normal", "anomalous"]) for _ in range(m - 2)]
         rng.shuffle(labels)
-        assert roc_curve(scores, labels).auc == pytest.approx(
-            auc(scores, labels), abs=1e-12)
+        assert (roc_curve(scores, labels).auc == auc(scores, labels)
+                == oracle.auc_pair_counting(scores, labels))
+
+
+def test_auc_counts_only_the_two_classes():
+    # a row labelled neither normal nor anomalous is in neither class
+    labels = ["normal", "anomalous", "norml"]
+    assert auc([3, 2, 1], labels) == 0.0
+    assert roc_curve([3, 2, 1], labels).points == [
+        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0)]
 
 
 # -- 5x2 CV ----------------------------------------------------------------
@@ -142,6 +156,9 @@ def test_friedman_total_dominance():
     assert report.critical_difference == pytest.approx(cd, rel=1e-12)
     assert report.post_hoc[6] == "worse"  # worst vs the reference
     assert report.pairwise[6][0] == "better"  # reference outranks the worst
+    for reference in range(7):
+        report = friedman_bonferroni(M, reference=reference)
+        assert report.post_hoc == report.pairwise[reference]
 
 
 def test_friedman_antisymmetry():

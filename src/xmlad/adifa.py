@@ -8,17 +8,21 @@ modeled with a univariate KDE, whose value at a test score drives the
 normal/anomalous decision and is also what gets calibrated into [0, 1].
 
 Every kernel density (per-attribute, leave-one-out and meta) comes from one
-routine, `_kernel_sums`, which walks the kernel cells in fixed-size blocks:
-memory is O(block), not O(m^2), and `train`, `score_batch` and `classify`
-share its arithmetic bit for bit.
+routine, `_kernel_sums`, which sums each column's kernels over its distinct
+training values, weighted by their counts, in fixed-size blocks: memory is
+O(block), not O(m^2), and `train`, `score_batch` and `classify` share its
+arithmetic bit for bit.  A leave-one-out sum counts the row's own value
+once less, so it is exact even for an isolated training point.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, TooFewRows, check_finite
+from .persist import Vector
 
 PSI_TAGS = ("am", "gm", "hm")
 
@@ -32,16 +36,18 @@ def _sigma_floor(sigma: float, mean: float) -> float:
     return max(sigma, _SIGMA_FLOOR_SCALE * max(1.0, abs(mean)))
 
 
-def attribute_entropy(column) -> float:
+def attribute_entropy(column, counts=None) -> float:
     """Shannon entropy (bits) of a column's empirical distribution.
 
-    Columns with few distinct values are binned on those values; wider
-    columns use equal-width Sturges binning.
+    Columns with few distinct values are binned on those values, whose
+    counts the caller may pass; wider columns use equal-width Sturges
+    binning.
     """
     vals = np.asarray(column, dtype=float)
     m = len(vals)
-    uniq, counts = np.unique(vals, return_counts=True)
-    if len(uniq) > _DISTINCT_BIN_LIMIT:
+    if counts is None:
+        counts = np.unique(vals, return_counts=True)[1]
+    if len(counts) > _DISTINCT_BIN_LIMIT:
         n_bins = math.ceil(1 + math.log2(m))
         counts, _ = np.histogram(vals, bins=n_bins)
         counts = counts[counts > 0]
@@ -63,7 +69,7 @@ def compute_weights(entropies) -> list:
 
 @dataclass
 class AttributeModel:
-    values: np.ndarray  # sorted training column
+    values: Vector  # sorted training column
     sigma: float
     tau: float
     norm: float
@@ -71,16 +77,59 @@ class AttributeModel:
     entropy: float
 
 
+class _Group(NamedTuple):
+    """Whole columns whose distinct values `_kernel_sums` reads together."""
+
+    cols: slice
+    s0: int  # where the group starts in the table's values
+    lens: np.ndarray  # distinct values per column
+    starts: np.ndarray  # where each column starts in the group
+    values: np.ndarray  # each column's distinct values, in order
+    neg: np.ndarray  # -tau of each value's column
+    counts: np.ndarray | None  # of each value; None where all are 1
+    rows: int  # point rows per block
+
+
+class _KernelTable:
+    """Sorted columns as `_kernel_sums` reads them: each column's distinct
+    values laid end to end, with their counts and the column's -tau, in
+    fixed groups of whole columns holding at most _BLOCK_CELLS distinct
+    values (or one column that alone holds more)."""
+
+    def __init__(self, columns, taus):
+        # where each run of equal values starts in its sorted column
+        firsts = [np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+                  for c in columns]
+        lens = np.array([len(f) for f in firsts])
+        self.offsets = np.concatenate([[0], np.cumsum(lens)])
+        values = np.concatenate([c[f] for c, f in zip(columns, firsts)])
+        counts = np.concatenate([np.diff(f, append=len(c))
+                                 for c, f in zip(columns, firsts)])
+        neg = np.repeat(-np.asarray(taus, dtype=float), lens)
+        self.groups, c0 = [], 0
+        for c in range(1, len(lens) + 1):
+            s0, s1 = self.offsets[c0], self.offsets[c]
+            if c < len(lens) and self.offsets[c + 1] - s0 <= _BLOCK_CELLS:
+                continue  # column c still fits in this group
+            group_counts = counts[s0:s1].astype(float)
+            self.groups.append(_Group(
+                slice(c0, c), s0, lens[c0:c], self.offsets[c0:c] - s0,
+                values[s0:s1], neg[s0:s1],
+                None if (group_counts == 1.0).all() else group_counts,
+                max(1, _BLOCK_CELLS // (s1 - s0))))
+            c0 = c
+
+
 @dataclass
 class AdifaModel:
-    """A trained model.  Its kernel arrays, which `_score` reads, are
-    stacked once at construction and loading; they are not fields, so they
-    are not persisted.  Nothing in the package changes a model after it is
-    built, so they never go stale."""
+    """A trained model.  Its kernel tables, which `_score` reads, are built
+    once at construction and loading; they are not fields, so they are not
+    persisted.  Nothing in the package changes a model after it is built,
+    so they never go stale."""
 
     attributes: list[AttributeModel]
     psi: str  # one of PSI_TAGS
-    training_scores: np.ndarray
+    training_scores: Vector
     meta_sigma: float
     meta_tau: float
     meta_norm: float
@@ -89,9 +138,17 @@ class AdifaModel:
     column_names: tuple
 
     def __post_init__(self):
-        self._centers = np.stack([am.values for am in self.attributes])
-        self._taus, self._norms, self._weights = np.array(
-            [(am.tau, am.norm, am.weight) for am in self.attributes]).T
+        shape = self.training_scores.shape
+        if ({am.values.shape for am in self.attributes} != {shape}
+                or not self.training_scores.size):
+            raise ValueError("attribute values and training scores must be"
+                             " non-empty columns of one length")
+        self._norms, self._weights = np.array(
+            [(am.norm, am.weight) for am in self.attributes]).T
+        self._kernels = _KernelTable([am.values for am in self.attributes],
+                                     [am.tau for am in self.attributes])
+        self._meta = _KernelTable([np.sort(self.training_scores)],
+                                  [self.meta_tau])
 
     @property
     def n_attributes(self) -> int:
@@ -113,38 +170,45 @@ def _fit_kernel(values: np.ndarray):
     return sigma, tau, norm
 
 
-def _kernel_sums(centers, taus, points) -> np.ndarray:
-    """Gaussian kernel sums: out[i, j] = sum_k exp(-taus[j] (points[i, j] -
-    centers[j, k])^2) for centers (n, u), taus (n,) and points (t, n).
+def _kernel_sums(table: _KernelTable, points, own=None) -> np.ndarray:
+    """Gaussian kernel sums: out[i, j] = sum over the distinct values v of
+    column j of count(v) exp(-tau_j (points[i, j] - v)^2), for points (t, n).
+    With `own` (t, n), indices into the table's values, the value own[i, j]
+    counts once less: the leave-one-out sum, with no exp(0) to cancel.
 
-    The (t, n, u) kernel cells go in blocks of about _BLOCK_CELLS: several
-    point rows at a time, or one row in groups of columns.  Memory is O(block)
-    beyond the output, and each sum runs over its centre row in order.
+    A block is several point rows of one column group, each point repeated
+    over its column's distinct values.  Memory is O(block) beyond the
+    output, and each sum runs over its column's values in order, whatever
+    the number of rows.
     """
-    centers = np.ascontiguousarray(centers)  # row reads, not strided ones
-    neg = -np.asarray(taus, dtype=float)[:, None]
     out = np.empty(points.shape)
-    n, u = centers.shape
-    rows = max(1, _BLOCK_CELLS // (n * u))
-    cols = min(n, max(1, _BLOCK_CELLS // u))
-    for lo in range(0, len(points), rows):
-        for c in range(0, n, cols):
-            # C order whatever the inputs' layout, so that exp and the sum
-            # take the same contiguous path for every caller
-            diff = np.subtract(points[lo:lo + rows, c:c + cols, None],
-                               centers[c:c + cols], order="C")
-            k = neg[c:c + cols] * diff
+    work = np.empty(max(min(g.rows, len(points)) * len(g.values)
+                        for g in table.groups))
+    for g in table.groups:
+        for lo in range(0, len(points), g.rows):
+            block = slice(lo, lo + g.rows)
+            diff = np.repeat(points[block, g.cols], g.lens, axis=1)
+            diff -= g.values
+            # (-tau d) d, as in the per-centre formula, in the one buffer
+            k = np.multiply(g.neg, diff,
+                            out=work[:diff.size].reshape(diff.shape))
             k *= diff
             np.exp(k, out=k)
-            k.sum(axis=-1, out=out[lo:lo + rows, c:c + cols])
+            if g.counts is not None:
+                k *= g.counts
+            if own is not None:  # exp(0) = 1 at the row's own value
+                at = own[block, g.cols] - g.s0
+                k[np.arange(len(k))[:, None], at] = (
+                    0.0 if g.counts is None else g.counts[at] - 1.0)
+            np.add.reduceat(k, g.starts, axis=1, out=out[block, g.cols])
     return out
 
 
 def attribute_likelihood(model: AttributeModel, x: float) -> float:
     """Average Gaussian kernel mass the training column places at x."""
+    table = _KernelTable([model.values], [model.tau])
     return float(model.norm * (_kernel_sums(
-        model.values[None, :], [model.tau], np.array([[x]], dtype=float))[0, 0]
-        / len(model.values)))
+        table, np.array([[x]], dtype=float))[0, 0] / len(model.values)))
 
 
 def _aggregate(weighted: np.ndarray, psi: str) -> np.ndarray:
@@ -181,19 +245,27 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
     check_finite(X)
 
     sigmas, taus, norms = np.array([_fit_kernel(c) for c in X.T]).T
-    entropies = [attribute_entropy(c) for c in X.T]
+    # each cell's index among its column's distinct values, and their counts
+    distinct = [np.unique(c, return_inverse=True, return_counts=True)[1:]
+                for c in X.T]
+    entropies = [attribute_entropy(c, counts)
+                 for c, (_, counts) in zip(X.T, distinct)]
     weights = np.array(compute_weights(entropies))
 
-    # leave-one-out: every point is also a centre, whose kernel adds exp(0)
-    loo = norms * (_kernel_sums(X.T, taus, X) - 1.0) / (m - 1)
+    columns = [np.sort(c) for c in X.T]
+    kernels = _KernelTable(columns, taus)
+    own = kernels.offsets[:-1] + np.column_stack([i for i, _ in distinct])
+    loo = norms * _kernel_sums(kernels, X, own) / (m - 1)
     scores = _aggregate(weights * loo, psi)
 
     meta_sigma, meta_tau, meta_norm = _fit_kernel(scores)
-    loo_meta = meta_norm * (_kernel_sums(
-        scores[None, :], [meta_tau], scores[:, None])[:, 0] - 1.0) / (m - 1)
+    own = np.unique(scores, return_inverse=True)[1]
+    loo_meta = meta_norm * _kernel_sums(
+        _KernelTable([np.sort(scores)], [meta_tau]), scores[:, None],
+        own[:, None])[:, 0] / (m - 1)
 
     attributes = [
-        AttributeModel(values=np.sort(X[:, j]), sigma=float(sigmas[j]),
+        AttributeModel(values=columns[j], sigma=float(sigmas[j]),
                        tau=float(taus[j]), norm=float(norms[j]),
                        weight=float(weights[j]), entropy=float(entropies[j]))
         for j in range(n)
@@ -213,13 +285,11 @@ def _score(model: AdifaModel, X: np.ndarray):
         raise DimensionMismatch(
             f"expected shape (*, {model.n_attributes}), got {X.shape}")
     check_finite(X)
-    centers = model._centers
-    d = model._norms * (_kernel_sums(centers, model._taus, X)
-                        / centers.shape[1])
+    m = len(model.training_scores)
+    d = model._norms * (_kernel_sums(model._kernels, X) / m)
     scores = _aggregate(model._weights * d, model.psi)
-    s = model.training_scores
     densities = model.meta_norm * (_kernel_sums(
-        s[None, :], [model.meta_tau], scores[:, None])[:, 0] / len(s))
+        model._meta, scores[:, None])[:, 0] / m)
     likelihoods = np.minimum(1.0, densities / model.calibration_max)
     return d, scores, likelihoods, densities
 

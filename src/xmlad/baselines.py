@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, TooFewRows, check_finite
+from .persist import Matrix, Vector
 
 _EPS = 1e-9
 
@@ -71,13 +72,13 @@ def _nearest(D: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class PgaModel:
-    training_points: np.ndarray
-    nn_distances: np.ndarray
+    training_points: Matrix
+    nn_distances: Vector
     alpha: float
     k: int
     cutoff: float
-    mu: np.ndarray | None = None
-    sd: np.ndarray | None = None
+    mu: Vector | None = None
+    sd: Vector | None = None
 
 
 def pga_train(dataset, alpha: float = 0.1, k: int = 1,
@@ -107,13 +108,13 @@ def pga_scores(model: PgaModel, X) -> np.ndarray:
 
 @dataclass
 class GdeModel:
-    training_points: np.ndarray
+    training_points: Matrix
     radius: float
     mean_neighbors: float
     std_neighbors: float
     sign_mode: str  # "corrected" or "literal"
-    mu: np.ndarray | None = None
-    sd: np.ndarray | None = None
+    mu: Vector | None = None
+    sd: Vector | None = None
 
 
 def gde_train(dataset, sign_mode: str = "corrected",
@@ -149,14 +150,14 @@ def gde_scores(model: GdeModel, X) -> np.ndarray:
 
 @dataclass
 class LofModel:
-    training_points: np.ndarray
+    training_points: Matrix
     min_pts: int
-    k_distances: np.ndarray
-    lrd: np.ndarray
-    training_lof: np.ndarray
+    k_distances: Vector
+    lrd: Vector
+    training_lof: Vector
     lof_max: float
-    mu: np.ndarray | None = None
-    sd: np.ndarray | None = None
+    mu: Vector | None = None
+    sd: Vector | None = None
 
 
 def lof_train(dataset, min_pts: int = 10, standardize: bool = False) -> LofModel:

@@ -15,8 +15,8 @@ from pathlib import Path
 from . import adifa, model_io, synth
 from .errors import CorruptFile, XmladError
 from .extract import FeatureMatrix, build_feature_matrix
-from .flatten import (DEFAULT_TFIDF_K, FlatDataset, TfIdfDictionary,
-                      build_dictionary, flatten_matrix)
+from .flatten import (DEFAULT_TFIDF_K, LABELS, FlatDataset,
+                      TfIdfDictionary, build_dictionary, flatten_matrix)
 from .inject import ALL_CLASSES, AttackClass, InjectionSpec, \
     make_anomalous_corpus, records_to_text
 from .schema import SchemaVector, parse_xsd
@@ -235,6 +235,10 @@ def _cmd_flatten(args) -> None:
             raise CorruptFile(f"{args.labels}: no label for row "
                               f"{missing[0]!r} ({len(missing)} missing)")
         labels = [by_id[rid] for rid in matrix.row_ids]
+        for rid, label in zip(matrix.row_ids, labels):
+            if label not in LABELS:
+                raise CorruptFile(f"{args.labels}: row {rid!r} has label "
+                                  f"{label!r}, not one of {LABELS}")
     dataset = flatten_matrix(matrix, schema, dictionary, labels=labels)
     dataset.to_csv(args.output)
     if args.dict_out:

@@ -15,9 +15,10 @@ The field annotations of a dataclass are its file format: `dumps` writes
 a dataclass as an object with one key per field, and `decode` reads it back
 from those annotations.  Tuples and NamedTuples are stored as lists, str
 enums as their values, arrays as (nested) lists and an unset `T | None`
-field as null.  A loader passes its builder to `loads`/`read`, so a
-digest-valid body that lacks a key or holds the wrong shape is reported as
-`CorruptFile` in one place.
+field as null.  An array field annotated `Vector` or `Matrix` must hold
+nested lists of that rank.  A loader passes its builder to `loads`/`read`,
+so a digest-valid body that lacks a key or holds the wrong shape is
+reported as `CorruptFile` in one place.
 """
 
 import hashlib
@@ -26,13 +27,17 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
 from types import UnionType
-from typing import get_args, get_origin
+from typing import Annotated, Union, get_args, get_origin
 
 import numpy as np
 
 from .errors import CorruptFile, VersionMismatch
 
 FORMAT_VERSION = 1
+
+# float arrays of a fixed rank, as dataclass field annotations
+Vector = Annotated[np.ndarray, 1]
+Matrix = Annotated[np.ndarray, 2]
 
 
 def _plain(value):
@@ -98,30 +103,35 @@ def decode(cls, body):
     return _decoder(cls)(body)
 
 
-def _array(body) -> np.ndarray:
+def _array(body, ndim: int) -> np.ndarray:
     if not isinstance(body, list):  # np.array(None) would be a 0-d nan
         raise TypeError(f"an array must be a list, not {type(body).__name__}")
-    return np.array(body, dtype=float)
+    array = np.array(body, dtype=float)
+    if array.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {array.shape}")
+    return array
 
 
 @cache
 def _decoder(kind):
     """The function that rebuilds a value of annotation `kind`: a
-    dataclass, NamedTuple, str enum, ndarray (float), tuple, tuple[T, ...],
-    list[T] or T | None; anything else is taken as it is.  Only T | None
-    admits null, so a null in place of a list or an object is corrupt."""
+    dataclass, NamedTuple, str enum, Vector or Matrix (a float ndarray of
+    that rank), tuple, tuple[T, ...], list[T] or T | None; anything else
+    is taken as it is.  Only T | None admits null, so a null in place
+    of a list or an object is corrupt."""
     origin = get_origin(kind)
     if is_dataclass(kind):
         items = [(f.name, _decoder(f.type)) for f in fields(kind)]
         return lambda body: kind(**{k: dec(body[k]) for k, dec in items})
-    if origin is UnionType:  # T | None
+    if origin in (UnionType, Union):  # T | None
         dec = _decoder(get_args(kind)[0])
         return lambda body: None if body is None else dec(body)
+    if origin is Annotated:  # Vector or Matrix
+        ndim = get_args(kind)[1]
+        return lambda body: _array(body, ndim)
     if origin in (tuple, list):
         item = _decoder(get_args(kind)[0])
         return lambda body: origin(map(item, body))
-    if kind is np.ndarray:
-        return _array
     if kind is tuple or isinstance(kind, type) and issubclass(kind, Enum):
         return kind
     if isinstance(kind, type) and issubclass(kind, tuple):  # a NamedTuple

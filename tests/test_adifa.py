@@ -242,33 +242,87 @@ def _heavy_duplicate_rows(m):
     return np.column_stack(cols)
 
 
-def _direct_kernel_sums(centers, taus, points):
-    """The unblocked formula: one m x m kernel matrix per column."""
+def _direct_kernel_sums(centers, taus, points, leave_out=False):
+    """The per-centre formula: one m x m kernel matrix per column, summed
+    over every centre, or over every centre but row i's own with
+    leave_out (points are then the rows the centres came from)."""
     out = np.empty(points.shape)
     for j in range(points.shape[1]):
         diff = points[:, j][:, None] - centers[j][None, :]
-        out[:, j] = np.exp(-taus[j] * diff * diff).sum(axis=1)
+        k = np.exp(-taus[j] * diff * diff)
+        if leave_out:
+            np.fill_diagonal(k, 0.0)
+        out[:, j] = k.sum(axis=1)
     return out
 
 
-def test_blocked_kernel_sums_equal_direct_formula():
-    X = _heavy_duplicate_rows(3000)
-    m, n = X.shape
-    assert m * n * m > 1000 * adifa._BLOCK_CELLS  # kernel cells: many blocks
+def _table_and_own(X):
+    """X's kernel table, and each row's own index into its values."""
     taus = [adifa._fit_kernel(c)[1] for c in X.T]
-    # leave-one-out layout: every training row against every training value
-    assert np.array_equal(adifa._kernel_sums(X.T, taus, X),
-                          _direct_kernel_sums(X.T, taus, X))
-    # scoring layout: new rows against the sorted training columns
-    centers = np.sort(X.T, axis=1)
-    points = _heavy_duplicate_rows(3000)[::-1][:700] + 0.25
-    assert np.array_equal(adifa._kernel_sums(centers, taus, points),
-                          _direct_kernel_sums(centers, taus, points))
+    table = adifa._KernelTable([np.sort(c) for c in X.T], taus)
+    own = table.offsets[:-1] + np.column_stack(
+        [np.unique(c, return_inverse=True)[1] for c in X.T])
+    return table, own, taus
+
+
+def _far_points(X, taus):
+    """Rows 0.5 h to 50 h beyond each column's range, h = 1/sqrt(tau).
+    Up to 10 h the nearest kernel's exponent is at most 100, and exp turns
+    an exponent's last-bit rounding into a relative error of |exponent|
+    ulps; at 50 h every kernel underflows to 0."""
+    h = 1.0 / np.sqrt(taus)
+    steps = np.array([0.5, 2.0, 5.0, 10.0, 50.0])[:, None]
+    return np.concatenate([X.max(axis=0) + steps * h,
+                           X.min(axis=0) - steps * h])
+
+
+def test_kernel_sums_match_per_centre_formula():
+    X = _heavy_duplicate_rows(3000)
+    table, own, taus = _table_and_own(X)
+    # one entry per distinct value: 5 x 3000 continuous, <= 32 and 1
+    assert table.offsets[-1] == sum(len(np.unique(c)) for c in X.T) < X.size
+    # leave-one-out layout: every training row against its own column
+    assert np.allclose(adifa._kernel_sums(table, X, own),
+                       _direct_kernel_sums(X.T, taus, X, leave_out=True),
+                       rtol=1e-13, atol=0.0)
+    # scoring layout: new rows, some far out, against the training columns
+    points = np.concatenate([_heavy_duplicate_rows(3000)[::-1][:700] + 0.25,
+                             _far_points(X, taus)])
+    direct = _direct_kernel_sums(X.T, taus, points)
+    assert (direct[-1] == 0.0).all()  # 50 h out every kernel underflows
+    assert np.allclose(adifa._kernel_sums(table, points), direct,
+                       rtol=1e-13, atol=0.0)
     # the meta KDE layout: one column of m values
-    s = X[:, 0]
-    args = (s[None, :], taus[:1], s[:, None])
-    assert np.array_equal(adifa._kernel_sums(*args),
-                          _direct_kernel_sums(*args))
+    s = X[:, :1]
+    meta = adifa._KernelTable([np.sort(s[:, 0])], taus[:1])
+    assert np.allclose(adifa._kernel_sums(meta, s),
+                       _direct_kernel_sums(s.T, taus[:1], s),
+                       rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [1000, 7000, 40000])
+def test_kernel_sums_do_not_depend_on_block_size(monkeypatch, block):
+    X = _heavy_duplicate_rows(3000)
+    table, own, taus = _table_and_own(X)
+    points = np.concatenate([X[:500] + 0.25, _far_points(X, taus)])
+    loo, sums = adifa._kernel_sums(table, X, own), adifa._kernel_sums(
+        table, points)
+    monkeypatch.setattr(adifa, "_BLOCK_CELLS", block)
+    table, own, _ = _table_and_own(X)
+    assert np.array_equal(adifa._kernel_sums(table, X, own), loo)
+    assert np.array_equal(adifa._kernel_sums(table, points), sums)
+
+
+@pytest.mark.parametrize("m", [50, 60])
+def test_isolated_point_leave_one_out_matches_oracle(m):
+    # the lone 1.0's own kernel is most of its full sum, so S - 1 cancels
+    X = [[0.0]] * (m - 1) + [[1.0]]
+    model = train(make_dataset(X), psi="gm")
+    ref = oracle.fit(X, "gm")
+    assert model.training_scores[-1] == pytest.approx(
+        ref["training_scores"][-1], rel=1e-10, abs=0.0)
+    assert model.training_scores == pytest.approx(ref["training_scores"],
+                                                  rel=1e-10, abs=0.0)
 
 
 def test_train_memory_below_one_kernel_matrix():

@@ -184,6 +184,18 @@ def _labels_missing_row(ws):
             "--labels", str(ws / "short.csv")]
 
 
+def _labels_unknown(ws):
+    """A labels file whose first anomalous row is labelled `norml`."""
+    _pipeline(ws, count=10)
+    text = (ws / "injected" / "labels.csv").read_text(encoding="utf-8")
+    assert ",anomalous\n" in text
+    (ws / "typo.csv").write_text(text.replace(",anomalous\n", ",norml\n", 1),
+                                 encoding="utf-8")
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
+            "--labels", str(ws / "typo.csv")]
+
+
 def _with_nan(dataset: Path, out: Path) -> Path:
     """A copy of a flattened dataset with its fourth row's first cell nan."""
     with open(dataset, newline="") as fh:
@@ -291,17 +303,22 @@ def _gen_corpus_params(ws, text):
             str(ws / "params.json"), "-n", "3", "--out", str(ws / "gen")]
 
 
-def _model_null_array(ws):
-    """A digest-valid pga model whose training points are null."""
-    _, dataset = _pipeline(ws, count=10)
-    assert run(["train", "--dataset", str(dataset), "--algo", "pga",
-                "-o", str(ws / "pga.xadmodel")]) == 0
-    body = persist.read(ws / "pga.xadmodel", "pga")
-    body["training_points"] = None
-    (ws / "null.xadmodel").write_text(persist.dumps("pga", body),
-                                      encoding="utf-8")
-    return ["score", "--model", str(ws / "null.xadmodel"),
+def _edited_model(ws, algo, edit):
+    """Scoring with a digest-valid `algo` model whose body `edit` changed."""
+    _, dataset = _pipeline(ws, count=20)  # more rows than lof's min_pts
+    assert run(["train", "--dataset", str(dataset), "--algo", algo,
+                "-o", str(ws / "m.xadmodel")]) == 0
+    body = persist.read(ws / "m.xadmodel", algo)
+    edit(body)
+    (ws / "bad.xadmodel").write_text(persist.dumps(algo, body),
+                                     encoding="utf-8")
+    return ["score", "--model", str(ws / "bad.xadmodel"),
             "--dataset", str(dataset), "-o", str(ws / "o.csv")]
+
+
+def _column(values):
+    """A vector's JSON list as an m x 1 matrix."""
+    return [[v] for v in values]
 
 
 _DATA_ERRORS = {
@@ -331,7 +348,19 @@ _DATA_ERRORS = {
     "params-missing-key": lambda ws: _gen_corpus_params(  # no "std"
         ws, '{"Transaction/Amounts/Amount0": {"kind": "numeric", "mean": 1}}'),
     "params-not-json": lambda ws: _gen_corpus_params(ws, "mean: 1.0"),
-    "model-null-array": _model_null_array,
+    "flatten-unknown-label": _labels_unknown,
+    "model-null-array": lambda ws: _edited_model(
+        ws, "pga", lambda b: b.update(training_points=None)),
+    "model-rank2-lrd": lambda ws: _edited_model(
+        ws, "lof", lambda b: b.update(lrd=_column(b["lrd"]))),
+    "model-rank2-nn": lambda ws: _edited_model(
+        ws, "pga", lambda b: b.update(nn_distances=_column(b["nn_distances"]))),
+    "model-ragged-values": lambda ws: _edited_model(
+        ws, "adifa", lambda b: b["attributes"][0].update(
+            values=b["attributes"][0]["values"][:-1])),
+    "model-rank2-values": lambda ws: _edited_model(
+        ws, "adifa", lambda b: b["attributes"][0].update(
+            values=_column(b["attributes"][0]["values"]))),
 }
 
 

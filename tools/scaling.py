@@ -1,0 +1,143 @@
+"""Scaling record of ADIFA's `train` and `score_batch`, as a BENCH_<n>.json.
+
+    PYTHONPATH=<checkout>/src python3 tools/scaling.py --label TEXT \
+        --out BENCH_<n>.json [--sizes 1000 4000 16000] [--runs FILE ...]
+
+Times `adifa.train` (psi gm, in s) and `adifa.score_batch` (in ms per row,
+over 500 held-out documents) on the demo corpus of
+`synth.generate_normal_corpus(seed=11)` at each size.  A control of 121
+all-distinct normal columns at m = 2,000, where no value repeats, times
+`train`, `score_batch` of 1,000 rows and `classify`.  Times are the best
+of 3 runs, or of 1 above m = 4,000.  Each `--runs` file holds the result
+line of one `perfbench/run.py` run; the record keeps every value and the
+median and quartiles of each end-to-end metric.  The program measured is
+whichever `xmlad` PYTHONPATH names, so one copy of this script measures
+any checkout.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+
+import numpy as np
+import scipy
+
+from xmlad import adifa, extract, flatten, synth
+from xmlad.schema import parse_xsd
+
+CORPUS_SEED = 11
+HELDOUT_SEED = 12
+HELDOUT = 500
+CONTROL_M = 2000
+
+
+def best_of(repeats, call):
+    """The shortest of `repeats` timed calls, in s, and the last result."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
+def demo_data(m):
+    """m flattened normal documents and HELDOUT more, one dictionary."""
+    schema = parse_xsd(synth.demo_schema_xsd())
+    params = synth.demo_params(schema, seed=0)
+    fm = extract.build_feature_matrix(
+        synth.generate_normal_corpus(schema, params, m, seed=CORPUS_SEED),
+        schema)
+    dictionary = flatten.build_dictionary(fm, schema)
+    held = extract.build_feature_matrix(
+        synth.generate_normal_corpus(schema, params, HELDOUT,
+                                     seed=HELDOUT_SEED), schema)
+    return (flatten.flatten_matrix(fm, schema, dictionary),
+            flatten.flatten_matrix(held, schema, dictionary).rows)
+
+
+def demo_sizes(sizes):
+    out = []
+    for m in sizes:
+        data, held = demo_data(m)
+        repeats = 3 if m <= 4000 else 1
+        train_s, model = best_of(repeats, lambda: adifa.train(data, psi="gm"))
+        score_s, _ = best_of(repeats, lambda: adifa.score_batch(model, held))
+        out.append({"m": m, "columns": data.rows.shape[1],
+                    "distinct_values": int(sum(len(np.unique(c))
+                                               for c in data.rows.T)),
+                    "repeats": repeats, "train_s": train_s,
+                    "score_batch_ms_per_row": 1e3 * score_s / len(held)})
+        print(json.dumps(out[-1]), file=sys.stderr)
+    return out
+
+
+def control():
+    rng = np.random.default_rng(CORPUS_SEED)
+    scale = np.arange(1, 122)
+    rows = rng.normal(size=(CONTROL_M, 121)) * scale
+    names = tuple(f"c{j}" for j in range(121))
+    data = flatten.FlatDataset(column_names=names, rows=rows,
+                               column_meta=tuple(("", c) for c in names),
+                               labels=None)
+    points = rng.normal(size=(1000, 121)) * scale
+    train_s, model = best_of(3, lambda: adifa.train(data, psi="gm"))
+    score_s, _ = best_of(3, lambda: adifa.score_batch(model, points))
+    classify_s, _ = best_of(3, lambda: [adifa.classify(model, x)
+                                        for x in points[:200]])
+    return {"m": CONTROL_M, "columns": 121, "repeats": 3, "train_s": train_s,
+            "score_batch_s_1000_rows": score_s,
+            "classify_us": 1e6 * classify_s / 200}
+
+
+def runs_summary(paths):
+    """Every end-to-end value of the runs, with median and quartiles."""
+    results = [json.loads(open(p, encoding="utf-8").read().splitlines()[-1])
+               for p in paths]
+    summary = {"files": [os.path.basename(p) for p in paths],
+               "metrics": {}}
+    for name in results[0]["metrics"]:
+        values = [r["metrics"][name]["value"] for r in results]
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        summary["metrics"][name] = {"values": values, "median": median,
+                                    "q1": q1, "q3": q3}
+    return summary
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True,
+                        help="what is measured, say a commit")
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--sizes", type=int, nargs="+",
+                        default=[1000, 4000, 16000])
+    parser.add_argument("--runs", nargs="*", default=[],
+                        help="perfbench/run.py result lines, one a file")
+    args = parser.parse_args(argv)
+    record = {
+        "label": args.label,
+        "command": " ".join([
+            "PYTHONPATH=<checkout>/src python3 tools/scaling.py --label",
+            json.dumps(args.label),
+            "--out", os.path.basename(args.out),
+            "--sizes", *map(str, args.sizes),
+            *(["--runs", *map(os.path.basename, args.runs)]
+              if args.runs else [])]),
+        "machine": {"nproc": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__},
+        "demo_corpus": demo_sizes(args.sizes),
+        "all_distinct_control": control(),
+    }
+    if args.runs:
+        record["benchmark_runs"] = runs_summary(args.runs)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
     p.add_argument("--algo", default="adifa", choices=sorted(
         {a.kind for a in model_io.ALGORITHMS.values()}))
     p.add_argument("--psi", default="gm", choices=list(adifa.PSI_TAGS))
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_PROPORTION, default=0.5)
     p.add_argument("--pga-alpha", type=_PROPORTION, default=0.1)
     p.add_argument("--pga-k", type=_AT_LEAST_1, default=1)
     p.add_argument("--gde-sign-mode", default="corrected",
@@ -126,14 +126,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("score", help="score a dataset with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--localize", type=int, default=0, metavar="N",
+    p.add_argument("--localize", type=_AT_LEAST_0, default=0, metavar="N",
                    help="append the top-N localization columns per row")
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("localize", help="rank per-attribute likelihoods")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--top", type=_AT_LEAST_1, default=3)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("inject", help="inject attacks into a corpus")
@@ -152,7 +152,7 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", required=True)
     p.add_argument("--params",
                    help="JSON file of generative params (default: demo)")
-    p.add_argument("-n", "--count", type=int, required=True)
+    p.add_argument("-n", "--count", type=_AT_LEAST_0, required=True)
     p.add_argument("--out", dest="output", required=True)
 
     p = sub.add_parser("evaluate", help="run 5x2 CV over several algorithms")
@@ -261,7 +261,7 @@ def _cmd_score(args) -> None:
     kind, model = model_io.load_model(args.model)
     dataset = FlatDataset.from_csv(args.dataset)
     header = ["row", "score", "likelihood", "label"]
-    for i in range(max(0, args.localize)):
+    for i in range(args.localize):
         header += [f"localized_{i + 1}", f"localized_{i + 1}_d"]
     rows = [header]
     if kind == "adifa":

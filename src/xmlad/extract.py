@@ -80,24 +80,19 @@ def measure_occurrence(text_value: str, descriptor: ElementDescriptor) -> Measur
     """
     text = text_value if text_value is not None else ""
     at = descriptor.abstract_type
-    if at is AbstractType.NUMERICAL:
-        try:
-            return MeasurementVector((float(text.strip()),))
-        except ValueError:
-            return MeasurementVector((), failed=True)
-    if at is AbstractType.DATE:
-        try:
-            return MeasurementVector((_parse_epoch_seconds(text),))
-        except ValueError:
-            return MeasurementVector((), failed=True)
-    if at is AbstractType.ENUMERATION:
-        literal = text.strip()
-        try:
-            return MeasurementVector((float(descriptor.enum_values.index(literal)),))
-        except ValueError:
-            return MeasurementVector((), failed=True)
-    return MeasurementVector((float(len(text.split())), float(len(text))),
-                            raw_text=text)
+    if at is AbstractType.STRING:
+        return MeasurementVector((float(len(text.split())), float(len(text))),
+                                 raw_text=text)
+    try:
+        if at is AbstractType.NUMERICAL:
+            value = float(text.strip())
+        elif at is AbstractType.DATE:
+            value = _parse_epoch_seconds(text)
+        else:
+            value = float(descriptor.enum_values.index(text.strip()))
+    except ValueError:
+        return MeasurementVector((), failed=True)
+    return MeasurementVector((value,))
 
 
 def _local(tag: str) -> str:

@@ -72,11 +72,6 @@ class FlatDataset:
     rows: np.ndarray  # m x p, float64
     column_meta: tuple  # per column (descriptor path or "", aggregate kind)
     labels: tuple = None  # optional per-row "normal"/"anomalous"
-    row_ids: tuple = None
-
-    @property
-    def width(self) -> int:
-        return len(self.column_names)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -180,31 +175,30 @@ def tfidf(term: str, row_tokens: Counter, dictionary: TfIdfDictionary) -> float:
     return tf * dictionary.idf(term)
 
 
-# the aggregate columns per abstract type; an enumeration instead gets one
+# the value slots per abstract type, in MeasurementVector.values order: a
+# slot s gives a min<s> and a max<s> column over the valid occurrences,
+# then the element gets a count column; an enumeration instead gets one
 # sum[v] column per literal v
-_AGGREGATES = {
-    AbstractType.NUMERICAL: ("min", "max", "count"),
-    AbstractType.DATE: ("min", "max", "count"),
-    AbstractType.STRING: ("min_words", "max_words", "min_chars", "max_chars",
-                          "count"),
+_SLOTS = {
+    AbstractType.NUMERICAL: ("",),
+    AbstractType.DATE: ("",),
+    AbstractType.STRING: ("_words", "_chars"),
 }
 
 
 def _aggregates(desc):
     if desc.abstract_type is AbstractType.ENUMERATION:
         return [f"sum[{value}]" for value in desc.enum_values]
-    return _AGGREGATES[desc.abstract_type]
+    return [f"{bound}{slot}" for slot in _SLOTS[desc.abstract_type]
+            for bound in ("min", "max")] + ["count"]
 
 
 def column_plan(schema: SchemaVector, dictionary: TfIdfDictionary):
     """Deterministic column naming for a (schema, dictionary) pair."""
-    meta = [(desc.path, kind) for desc in schema.descriptors
-            for kind in _aggregates(desc)]
-    terms = dictionary.terms
-    names = [f"{path}#{kind}" for path, kind in meta]
-    names += ["parse_failures#count"] + [f"tfidf#{t}" for t in terms]
-    meta += [("", "parse_failures")] + [("", f"tfidf:{t}") for t in terms]
-    return tuple(names), tuple(meta)
+    names = [f"{desc.path}#{kind}" for desc in schema.descriptors
+             for kind in _aggregates(desc)]
+    names += ["parse_failures#count"] + [f"tfidf#{t}" for t in dictionary.terms]
+    return tuple(names), tuple(map(_meta_from_name, names))
 
 
 def expected_width(schema: SchemaVector, k_selected: int) -> int:
@@ -221,28 +215,18 @@ def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
     out = []
     failures = 0
     for cf, desc in zip(row, schema.descriptors):
-        valid = [mv for mv in cf if not mv.failed]
-        failures += sum(1 for mv in cf if mv.failed)
-        at = desc.abstract_type
-        if at in (AbstractType.NUMERICAL, AbstractType.DATE):
-            vals = [mv.values[0] for mv in valid]
-            if vals:
-                out.extend((min(vals), max(vals), float(len(cf))))
-            else:
-                out.extend((0.0, 0.0, float(len(cf))))
-        elif at is AbstractType.ENUMERATION:
+        valid = [mv.values for mv in cf if not mv.failed]
+        failures += len(cf) - len(valid)
+        if desc.abstract_type is AbstractType.ENUMERATION:
             counts = [0.0] * len(desc.enum_values)
-            for mv in valid:
-                counts[int(mv.values[0])] += 1.0
+            for values in valid:
+                counts[int(values[0])] += 1.0
             out.extend(counts)
-        else:
-            words = [mv.values[0] for mv in valid]
-            chars = [mv.values[1] for mv in valid]
-            if valid:
-                out.extend((min(words), max(words), min(chars), max(chars),
-                            float(len(cf))))
-            else:
-                out.extend((0.0, 0.0, 0.0, 0.0, float(len(cf))))
+            continue
+        for i in range(len(_SLOTS[desc.abstract_type])):
+            slot = [values[i] for values in valid]
+            out.extend((min(slot), max(slot)) if slot else (0.0, 0.0))
+        out.append(float(len(cf)))
     out.append(float(failures))
     tokens = _row_tokens(row, schema)
     for term in dictionary.terms:
@@ -262,5 +246,4 @@ def flatten_matrix(matrix: FeatureMatrix, schema: SchemaVector,
             raise SchemaMismatch(f"row {rid}: {exc}")
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
     return FlatDataset(column_names=names, rows=data, column_meta=meta,
-                       labels=tuple(labels) if labels is not None else None,
-                       row_ids=tuple(matrix.row_ids))
+                       labels=tuple(labels) if labels is not None else None)

@@ -9,7 +9,9 @@ Every artifact the pipeline writes (.xadschema, .xadfm, .xaddict, .xadmodel,
 
 The JSON body is serialized with sorted keys and no optional whitespace, so
 identical in-memory objects always produce byte-identical files.  Floats go
-through Python's repr, which round-trips exactly.
+through Python's repr, which round-trips exactly.  A NaN or infinity has
+no JSON number: `dumps` raises `NonFiniteData` for one, and `loads` reports
+the `NaN`/`Infinity` tokens as `CorruptFile`.
 
 The field annotations of a dataclass are its file format: `dumps` writes
 a dataclass as an object with one key per field, and `decode` reads it back
@@ -31,7 +33,7 @@ from typing import Annotated, Union, get_args, get_origin
 
 import numpy as np
 
-from .errors import CorruptFile, VersionMismatch
+from .errors import CorruptFile, NonFiniteData, VersionMismatch
 
 FORMAT_VERSION = 1
 
@@ -50,10 +52,17 @@ def _plain(value):
 
 
 def dumps(kind: str, body) -> str:
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"),
-                         allow_nan=False, default=_plain)
+    try:
+        payload = json.dumps(body, sort_keys=True, separators=(",", ":"),
+                             allow_nan=False, default=_plain)
+    except ValueError as exc:  # NaN or infinity: JSON has no token for it
+        raise NonFiniteData(f"cannot write {kind}: {exc}") from None
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return f"xmlad-{kind} v{FORMAT_VERSION}\nsha256:{digest}\n{payload}\n"
+
+
+def _no_constant(token):
+    raise CorruptFile(f"unreadable body: {token} is not a finite number")
 
 
 def loads(kind: str, text: str, build=None):
@@ -77,7 +86,7 @@ def loads(kind: str, text: str, build=None):
     if actual != expected:
         raise CorruptFile("content digest mismatch")
     try:
-        body = json.loads(payload)
+        body = json.loads(payload, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise CorruptFile(f"unreadable body: {exc}")
     if build is None:
@@ -89,8 +98,9 @@ def loads(kind: str, text: str, build=None):
 
 
 def write(path, kind: str, body) -> None:
+    text = dumps(kind, body)  # before open, so a failure leaves the file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(kind, body))
+        fh.write(text)
 
 
 def read(path, kind: str, build=None):

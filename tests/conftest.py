@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,13 @@ def make_dataset(rows, column_names=None, labels=None):
     return FlatDataset(column_names=tuple(column_names), rows=rows,
                        column_meta=tuple(("", n) for n in column_names),
                        labels=tuple(labels) if labels is not None else None)
+
+
+def container(kind, payload):
+    """A digest-valid v1 artifact around the JSON text `payload`, written by
+    hand so that it may hold what `persist.dumps` never writes."""
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return f"xmlad-{kind} v1\nsha256:{digest}\n{payload}\n"
 
 
 def score_and_label(tag, model, x):

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PAYMENT_XSD
+from conftest import PAYMENT_XSD, container
 import xmlad
 from xmlad import persist
 from xmlad.cli import run
@@ -303,17 +304,41 @@ def _gen_corpus_params(ws, text):
             str(ws / "params.json"), "-n", "3", "--out", str(ws / "gen")]
 
 
-def _edited_model(ws, algo, edit):
+def _dumps_with_nan(kind, body):
+    """`persist.dumps` without its refusal of NaN."""
+    return container(kind, json.dumps(body, sort_keys=True,
+                                      separators=(",", ":")))
+
+
+def _edited_model(ws, algo, edit, dumps=persist.dumps):
     """Scoring with a digest-valid `algo` model whose body `edit` changed."""
     _, dataset = _pipeline(ws, count=20)  # more rows than lof's min_pts
     assert run(["train", "--dataset", str(dataset), "--algo", algo,
                 "-o", str(ws / "m.xadmodel")]) == 0
     body = persist.read(ws / "m.xadmodel", algo)
     edit(body)
-    (ws / "bad.xadmodel").write_text(persist.dumps(algo, body),
-                                     encoding="utf-8")
+    (ws / "bad.xadmodel").write_text(dumps(algo, body), encoding="utf-8")
     return ["score", "--model", str(ws / "bad.xadmodel"),
             "--dataset", str(dataset), "-o", str(ws / "o.csv")]
+
+
+def _extract_nan_amount(ws):
+    """A corpus whose first document's Amount0 holds NaN."""
+    _pipeline(ws, count=10)
+    (ws / "nan").mkdir()
+    for doc in sorted((ws / "normal").glob("*.xml")):
+        (ws / "nan" / doc.name).write_bytes(doc.read_bytes())
+    first = min((ws / "nan").glob("*.xml"))
+    text = first.read_text(encoding="utf-8")
+    start = text.index("<Amount0>") + len("<Amount0>")
+    first.write_text(text[:start] + "NaN" + text[text.index("</Amount0>"):],
+                     encoding="utf-8")
+    return ["extract", str(ws / "nan"), "--schema", str(ws / "s.xadschema"),
+            "-o", str(ws / "o.xadfm")]
+
+
+def _nan_value(body):
+    body["attributes"][0]["values"][5] = float("nan")
 
 
 def _column(values):
@@ -361,6 +386,9 @@ _DATA_ERRORS = {
     "model-rank2-values": lambda ws: _edited_model(
         ws, "adifa", lambda b: b["attributes"][0].update(
             values=_column(b["attributes"][0]["values"]))),
+    "extract-nan-amount": _extract_nan_amount,
+    "model-nan-value": lambda ws: _edited_model(ws, "adifa", _nan_value,
+                                                _dumps_with_nan),
 }
 
 
@@ -371,6 +399,8 @@ def test_data_error_exit_2(workspace, capsys, case):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("xmlad:") and "Traceback" not in err
+    if "-o" in argv:  # a data error leaves no output file
+        assert not Path(argv[argv.index("-o") + 1]).exists()
 
 
 @pytest.mark.parametrize("algo", ["adifa", "pga", "gde", "lof"])
@@ -412,11 +442,23 @@ def test_score_non_finite_exit_2(workspace, capsys, algo):
     (["flatten", "{ws}/fm.xadfm", "--schema", "{ws}/s.xadschema",
       "-o", "{ws}/o.csv", "--tfidf-k", "-1"],
      "--tfidf-k: -1 is not an integer >= 0"),
+    (["train", "--dataset", "{ws}/d.csv", "--threshold", "nan",
+      "-o", "{ws}/m"], "--threshold: nan is not in [0, 1]"),
+    (["train", "--dataset", "{ws}/d.csv", "--threshold", "7",
+      "-o", "{ws}/m"], "--threshold: 7 is not in [0, 1]"),
+    (["gen-corpus", "--schema", "{ws}/s.xadschema", "-n", "-5",
+      "--out", "{ws}/gen"], "-n/--count: -5 is not an integer >= 0"),
+    (["localize", "--model", "{ws}/m", "--dataset", "{ws}/d.csv",
+      "--top", "-2"], "--top: -2 is not an integer >= 1"),
+    (["score", "--model", "{ws}/m", "--dataset", "{ws}/d.csv",
+      "--localize", "-1"], "--localize: -1 is not an integer >= 0"),
 ], ids=["unknown-flag", "unknown-attack-class", "unknown-evaluate-algo",
         "unknown-learning-curve-algo", "train-pga-k-0",
         "train-pga-alpha-1.5", "train-lof-min-pts-0", "evaluate-lof-min-pts-0",
         "inject-anomaly-index-2", "inject-fraction-0",
-        "flatten-tfidf-k-negative"])
+        "flatten-tfidf-k-negative", "train-threshold-nan",
+        "train-threshold-7", "gen-corpus-n-negative", "localize-top-negative",
+        "score-localize-negative"])
 def test_usage_error_exit_1(workspace, capsys, argv, message):
     _pipeline(workspace, count=10)
     assert run([a.replace("{ws}", str(workspace)) for a in argv]) == 1

@@ -8,6 +8,7 @@ from xmlad.extract import build_feature_matrix
 from xmlad.flatten import (FlatDataset, TfIdfDictionary, build_dictionary,
                            column_plan, expected_width, flatten_matrix,
                            flatten_row, smoothed_idf, tfidf, tokenize)
+from xmlad.schema import parse_xsd
 
 
 def _matrix(docs, schema):
@@ -113,6 +114,48 @@ def test_parse_failures_counted_and_excluded(payment_schema):
     assert cells["Payment/PaymentAmount#max"] == 2.0
     assert cells["Payment/PaymentAmount#count"] == 2.0  # flagged still counts
     assert cells["parse_failures#count"] == 1.0
+
+
+ORDER_XSD = """<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="Order">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="Placed" type="xsd:dateTime" maxOccurs="unbounded"/>
+        <xsd:element name="Total" type="xsd:double" maxOccurs="unbounded"/>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>"""
+
+
+def _order_cells(doc):
+    schema = parse_xsd(ORDER_XSD)
+    fm = _matrix([doc], schema)
+    dic = build_dictionary(fm, schema, k=0)
+    names, _ = column_plan(schema, dic)
+    return dict(zip(names, flatten_row(fm.rows[0], schema, dic)))
+
+
+def test_date_slots_in_epoch_seconds():
+    cells = _order_cells(
+        "<Order><Placed>1970-01-02T00:00:00Z</Placed>"
+        "<Placed>1970-01-01T01:00:00+01:00</Placed>"
+        "<Placed>1970-01-03</Placed><Total>4</Total></Order>")
+    assert cells["Order/Placed#min"] == 0.0
+    assert cells["Order/Placed#max"] == 2 * 86400.0
+    assert cells["Order/Placed#count"] == 3.0
+    assert cells["parse_failures#count"] == 0.0
+
+
+def test_all_failed_element_zero_slots_still_counted():
+    cells = _order_cells("<Order><Placed>soon</Placed>"
+                         "<Total>x</Total><Total>y</Total></Order>")
+    for path, count in (("Order/Placed", 1.0), ("Order/Total", 2.0)):
+        assert cells[f"{path}#min"] == 0.0
+        assert cells[f"{path}#max"] == 0.0
+        assert cells[f"{path}#count"] == count
+    assert cells["parse_failures#count"] == 3.0
 
 
 def test_row_width_uniform_and_permutation(payment_schema):

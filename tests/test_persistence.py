@@ -4,10 +4,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import make_dataset, score_and_label
+from conftest import container, make_dataset, score_and_label
 from xmlad import adifa, persist
 from xmlad.baselines import gde_train, lof_train, pga_train
-from xmlad.errors import CorruptFile, VersionMismatch
+from xmlad.errors import CorruptFile, NonFiniteData, VersionMismatch
 from xmlad.extract import FeatureMatrix, MeasurementVector
 from xmlad.flatten import TfIdfDictionary
 from xmlad.inject import InjectionRecord, records_from_text, records_to_text
@@ -45,6 +45,23 @@ def test_container_wrong_kind_rejected():
     text = persist.dumps("demo", {"a": 1})
     with pytest.raises(VersionMismatch):
         persist.loads("other", text)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_failed_write_leaves_existing_file(tmp_path, value):
+    path = tmp_path / "a.xaddemo"
+    persist.write(path, "demo", {"a": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(NonFiniteData):
+        persist.write(path, "demo", {"a": [2.0, value]})
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_container_non_finite_token_is_corrupt(token):
+    # digest-valid, but a token that `dumps` never writes
+    with pytest.raises(CorruptFile, match=token):
+        persist.loads("demo", container("demo", f'{{"a":[1.0,{token}]}}'))
 
 
 # the body keys per model kind: the v1 format other readers parse

@@ -265,8 +265,7 @@ def _cmd_score(args) -> None:
         header += [f"localized_{i + 1}", f"localized_{i + 1}_d"]
     rows = [header]
     if kind == "adifa":
-        for i, x in enumerate(dataset.rows):
-            result = adifa.classify(model, x)
+        for i, result in enumerate(adifa.classify_batch(model, dataset.rows)):
             cells = [str(i), repr(result.score), repr(result.likelihood),
                      result.label]
             for name, d in adifa.localize(result, args.localize):
@@ -290,8 +289,7 @@ def _cmd_localize(args) -> None:
         raise UsageError("localize requires an adifa model")
     dataset = FlatDataset.from_csv(args.dataset)
     rows = [["row", "rank", "column", "likelihood"]]
-    for i, x in enumerate(dataset.rows):
-        result = adifa.classify(model, x)
+    for i, result in enumerate(adifa.classify_batch(model, dataset.rows)):
         for rank, (name, d) in enumerate(
                 adifa.localize(result, args.top), start=1):
             rows.append([str(i), str(rank), name, repr(d)])

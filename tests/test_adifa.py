@@ -334,3 +334,81 @@ def test_train_memory_below_one_kernel_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 3000 * 8
+
+
+# -- Hermite-expanded kernel sums ------------------------------------------
+
+def _expansion_rows(m):
+    """`_heavy_duplicate_rows` with an isolated point: the last row's first
+    value lies 12 sigma above the others, so its leave-one-out sum is a
+    small remainder of exp(0) = 1."""
+    X = _heavy_duplicate_rows(m)
+    X[-1, 0] = X[:-1, 0].max() + 12.0 * X[:-1, 0].std()
+    return X
+
+
+def _expansion_points(X, taus):
+    """New rows near the data, rows 0.5 h to 50 h beyond it, and two at
+    +-1e300."""
+    near = _heavy_duplicate_rows(3000)[::-1][:700] + 0.25
+    huge = np.full((2, X.shape[1]), 1e300) * np.array([[1.0], [-1.0]])
+    return np.concatenate([near, _far_points(X, taus), huge])
+
+
+def _assert_expanded_matches_exact(table, points, own=None):
+    exact = adifa._kernel_sums(table, points, own)
+    fast = adifa._kernel_sums(table, points, own, expand=True)
+    assert np.allclose(fast, exact, rtol=1e-10, atol=0.0)
+    assert (fast[exact == 0.0] == 0.0).all()  # every exact 0 stays 0
+    e = table.expansion
+    kept = adifa._hermite_sums(
+        e, table.reached(points, (slice(None), e.cols)), own is not None)[1]
+    return kept
+
+
+def test_expanded_kernel_sums_match_exact():
+    X = _expansion_rows(3000)
+    table, own, taus = _table_and_own(X)
+    # the five continuous columns are expanded, the other two are not
+    assert list(table.expansion.cols) == [0, 1, 2, 3, 4]
+    # leave-one-out layout: the expansion keeps all but the isolated point
+    kept = _assert_expanded_matches_exact(table, X, own)
+    assert not kept[-1, 0] and kept.mean() > 0.99
+    # scoring layout: targets near, 0.5-50 h out and at +-1e300
+    points = _expansion_points(X, taus)
+    kept = _assert_expanded_matches_exact(table, points)
+    assert kept[:700].mean() > 0.95 and not kept[-2:].any()
+    # the meta KDE layout, one column of m values, with and without own
+    s = X[:, 1:2]
+    meta = adifa._KernelTable([np.sort(s[:, 0])], taus[1:2])
+    own = np.unique(s[:, 0], return_inverse=True)[1][:, None]
+    assert _assert_expanded_matches_exact(meta, s, own).all()
+    assert _assert_expanded_matches_exact(meta, points[:, 1:2])[:700].all()
+
+
+@pytest.mark.parametrize("block", [1000, 7000, 40000])
+def test_expanded_sums_do_not_depend_on_block_size(monkeypatch, block):
+    X = _expansion_rows(3000)
+    table, own, taus = _table_and_own(X)
+    points = _expansion_points(X, taus)
+    loo = adifa._kernel_sums(table, X, own, expand=True)
+    sums = adifa._kernel_sums(table, points, expand=True)
+    monkeypatch.setattr(adifa, "_BLOCK_CELLS", block)
+    table, own, _ = _table_and_own(X)
+    assert np.array_equal(adifa._kernel_sums(table, X, own, expand=True), loo)
+    assert np.array_equal(adifa._kernel_sums(table, points, expand=True), sums)
+
+
+def test_score_batch_matches_classify_on_expanded_model():
+    X = _expansion_rows(600)
+    model = train(make_dataset(X), psi="gm")
+    assert model._kernels.expansion is not None
+    table_taus = [am.tau for am in model.attributes]
+    points = _expansion_points(X, table_taus)[::7]
+    scores, likelihoods, _ = score_batch(model, points)
+    batch = adifa.classify_batch(model, points)
+    for i, x in enumerate(points):
+        result = classify(model, x)
+        assert result == batch[i]
+        assert (result.score, result.likelihood) == (scores[i],
+                                                     likelihoods[i])

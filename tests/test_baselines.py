@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, score_and_label
-from xmlad import persist
+from xmlad import baselines, persist
 from xmlad.baselines import (gde_scores, gde_train, lof_scores, lof_train,
                              pga_scores, pga_train)
 from xmlad.errors import TooFewRows
@@ -187,6 +187,22 @@ def test_lof_training_point_in_cluster_is_normal():
     model = lof_train(make_dataset(cluster), min_pts=5)
     _, label = score_and_label("lof", model, cluster[0])
     assert label == "normal"
+
+
+@pytest.mark.parametrize("kind", ["duplicate-rows", "integer-distances"])
+def test_nearest_matches_stable_argsort_on_ties(kind):
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        m = int(rng.integers(2, 60))
+        if kind == "duplicate-rows":
+            points = rng.integers(0, 3, (m, 2)).astype(float)
+            D = baselines._self_distances(points)
+        else:
+            D = rng.integers(0, 4, (int(rng.integers(1, 30)), m)).astype(float)
+        for k in range(1, m + 1):
+            assert np.array_equal(
+                baselines._nearest(D, k),
+                np.argsort(D, axis=1, kind="stable")[:, :k])
 
 
 def test_lof_needs_enough_rows():

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PAYMENT_XSD, container
+from conftest import PAYMENT_XSD, container, make_dataset
 import xmlad
 from xmlad import persist
 from xmlad.cli import run
@@ -86,6 +87,54 @@ def test_train_score_localize(workspace):
         loc_rows = list(csv.reader(fh))
     assert loc_rows[0] == ["row", "rank", "column", "likelihood"]
     assert len(loc_rows) == 1 + 40 * 3
+
+
+def _per_row_csvs(model, X, top):
+    """`score --localize top` and `localize --top top` as looping
+    `classify` over the rows writes them."""
+    score = [["row", "score", "likelihood", "label"]
+             + [f"localized_{i + 1}{s}" for i in range(top)
+                for s in ("", "_d")]]
+    loc = [["row", "rank", "column", "likelihood"]]
+    for i, x in enumerate(X):
+        result = xmlad.classify(model, x)
+        pairs = xmlad.localize(result, top)
+        score.append([str(i), repr(result.score), repr(result.likelihood),
+                      result.label] + [c for n, d in pairs
+                                       for c in (n, repr(d))])
+        loc += [[str(i), str(r), n, repr(d)]
+                for r, (n, d) in enumerate(pairs, start=1)]
+    texts = []
+    for rows in (score, loc):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        texts.append(out.getvalue())
+    return texts
+
+
+def test_score_and_localize_match_per_row_classify(tmp_path):
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.normal(0.0, 1.0, 400), rng.normal(9.0, 3.0, 400),
+                         rng.integers(0, 4, 400).astype(float)])
+    names = ("a", "b", "c")
+    make_dataset(X, names).to_csv(tmp_path / "train.csv")
+    test_rows = np.concatenate([X[::4] + 0.1, [[40.0, 9.0, 1.0],
+                                               [0.0, -1e300, 2.0]]])
+    make_dataset(test_rows, names).to_csv(tmp_path / "test.csv")
+    model_path = tmp_path / "m.xadmodel"
+    assert run(["train", "--dataset", str(tmp_path / "train.csv"),
+                "-o", str(model_path)]) == 0
+    _, model = load_model(model_path)
+    assert list(model._kernels.expansion.cols) == [0, 1]
+    data = FlatDataset.from_csv(tmp_path / "test.csv")
+    argv = ["--model", str(model_path),
+            "--dataset", str(tmp_path / "test.csv")]
+    assert run(["score", *argv, "--localize", "2",
+                "-o", str(tmp_path / "s.csv")]) == 0
+    assert run(["localize", *argv, "--top", "2",
+                "-o", str(tmp_path / "l.csv")]) == 0
+    assert [(tmp_path / f).read_text(encoding="utf-8")
+            for f in ("s.csv", "l.csv")] == _per_row_csvs(model, data.rows, 2)
 
 
 def test_baseline_training(workspace):

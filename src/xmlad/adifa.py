@@ -29,7 +29,7 @@ fixed cost per call is more than the exact sum.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -262,10 +262,10 @@ class _KernelTable:
 
 @dataclass
 class AdifaModel:
-    """A trained model.  Its kernel tables, which `_score` reads, are built
-    once at construction and loading; they are not fields, so they are not
-    persisted.  Nothing in the package changes a model after it is built,
-    so they never go stale."""
+    """A trained model.  Its kernel tables, which `_score` reads, come from
+    `train` (`tables`) or are built once at loading; they are not fields,
+    so they are not persisted.  Nothing in the package changes a model
+    after it is built, so they never go stale."""
 
     attributes: list[AttributeModel]
     psi: str  # one of PSI_TAGS
@@ -276,8 +276,9 @@ class AdifaModel:
     calibration_max: float
     threshold: float
     column_names: tuple
+    tables: InitVar[tuple | None] = None  # (attribute, meta) _KernelTables
 
-    def __post_init__(self):
+    def __post_init__(self, tables):
         shape = self.training_scores.shape
         if ({am.values.shape for am in self.attributes} != {shape}
                 or not self.training_scores.size):
@@ -286,10 +287,10 @@ class AdifaModel:
         self._norms, self._weights = np.array(
             [(am.norm, am.weight) for am in self.attributes]).T
         self._names = np.array(self.column_names, dtype=object)
-        self._kernels = _KernelTable([am.values for am in self.attributes],
-                                     [am.tau for am in self.attributes])
-        self._meta = _KernelTable([np.sort(self.training_scores)],
-                                  [self.meta_tau])
+        self._kernels, self._meta = tables or (
+            _KernelTable([am.values for am in self.attributes],
+                         [am.tau for am in self.attributes]),
+            _KernelTable([np.sort(self.training_scores)], [self.meta_tau]))
 
     @property
     def n_attributes(self) -> int:
@@ -470,9 +471,9 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
 
     meta_sigma, meta_tau, meta_norm = _fit_kernel(scores)
     own = np.unique(scores, return_inverse=True)[1]
+    meta = _KernelTable([np.sort(scores)], [meta_tau])
     loo_meta = meta_norm * _kernel_sums(
-        _KernelTable([np.sort(scores)], [meta_tau]), scores[:, None],
-        own[:, None], expand=True)[:, 0] / (m - 1)
+        meta, scores[:, None], own[:, None], expand=True)[:, 0] / (m - 1)
 
     attributes = [
         AttributeModel(values=columns[j], sigma=float(sigmas[j]),
@@ -485,7 +486,8 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
                       meta_norm=float(meta_norm),
                       calibration_max=float(loo_meta.max()),
                       threshold=float(threshold),
-                      column_names=tuple(dataset.column_names))
+                      column_names=tuple(dataset.column_names),
+                      tables=(kernels, meta))
 
 
 def _score(model: AdifaModel, X: np.ndarray):

@@ -1,12 +1,12 @@
 """One-class baselines: peer group analysis, global density estimation, and
 a one-class adaptation of the local outlier factor.
 
-All three operate on the flattened feature space with Euclidean distances
-(optionally z-scored) and share the train/scores shape the evaluation
-harness expects; each model's label rule lives in the `model_io` table.
-They share one preparation too: `_fit_space` puts the training rows in
-model space and `_distances` maps query rows into it, and both raise
-NonFiniteData on a non-finite cell.
+All three rank rows by Euclidean distances in the flattened feature space,
+z-scored per column on the training rows, and share the train/scores shape
+the evaluation harness expects; each model's label rule lives in the
+`model_io` table.  They share one preparation too: `_fit_space` puts the
+training rows in model space and `_distances` maps query rows into it, and
+both raise NonFiniteData on a non-finite cell.
 """
 
 import math
@@ -20,12 +20,10 @@ from .persist import Matrix, Vector
 _EPS = 1e-9
 
 
-def _fit_space(dataset, standardize: bool):
-    """Training rows in model space, with the z-score parameters or None."""
+def _fit_space(dataset):
+    """Training rows in model space, with their z-score parameters."""
     X = np.asarray(dataset.rows, dtype=float)
     check_finite(X)
-    if not standardize:
-        return X, None, None
     mu = X.mean(axis=0)
     sd = np.maximum(X.std(axis=0), _EPS)
     return (X - mu) / sd, mu, sd
@@ -45,8 +43,7 @@ def _distances(model, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != width:
         raise DimensionMismatch(f"expected shape (*, {width}), got {X.shape}")
     check_finite(X)
-    if model.mu is not None:
-        X = (X - model.mu) / model.sd
+    X = (X - model.mu) / model.sd
     return _pairwise_distances(X, model.training_points)
 
 
@@ -90,18 +87,17 @@ class PgaModel:
     alpha: float
     k: int
     cutoff: float
-    mu: Vector | None = None
-    sd: Vector | None = None
+    mu: Vector
+    sd: Vector
 
 
-def pga_train(dataset, alpha: float = 0.1, k: int = 1,
-              standardize: bool = False) -> PgaModel:
+def pga_train(dataset, alpha: float = 0.1, k: int = 1) -> PgaModel:
     if k < 1 or not 0.0 <= alpha <= 1.0:
         raise ValueError(f"need k >= 1 and alpha in [0, 1], got {k}, {alpha}")
     m = len(dataset.rows)
     if m < 2 or k >= m:
         raise TooFewRows(f"need more than {k} rows, got {m}")
-    X, mu, sd = _fit_space(dataset, standardize)
+    X, mu, sd = _fit_space(dataset)
     nn = _kth_smallest(_self_distances(X), k)
     # nearest-rank (1 - alpha) quantile of the training nn distances
     idx = max(0, math.ceil((1.0 - alpha) * m) - 1)
@@ -126,18 +122,17 @@ class GdeModel:
     mean_neighbors: float
     std_neighbors: float
     sign_mode: str  # "corrected" or "literal"
-    mu: Vector | None = None
-    sd: Vector | None = None
+    mu: Vector
+    sd: Vector
 
 
-def gde_train(dataset, sign_mode: str = "corrected",
-              standardize: bool = False) -> GdeModel:
+def gde_train(dataset, sign_mode: str = "corrected") -> GdeModel:
     if sign_mode not in ("corrected", "literal"):
         raise ValueError(f"unknown sign mode {sign_mode!r}")
     m = len(dataset.rows)
     if m < 2:
         raise TooFewRows(f"need at least 2 rows, got {m}")
-    X, mu, sd = _fit_space(dataset, standardize)
+    X, mu, sd = _fit_space(dataset)
     D = _self_distances(X)  # self excluded from training counts
     radius = max(2.0 * float(_kth_smallest(D, 1).mean()), _EPS)
     counts = (D <= radius).sum(axis=1).astype(float)
@@ -169,17 +164,17 @@ class LofModel:
     lrd: Vector
     training_lof: Vector
     lof_max: float
-    mu: Vector | None = None
-    sd: Vector | None = None
+    mu: Vector
+    sd: Vector
 
 
-def lof_train(dataset, min_pts: int = 10, standardize: bool = False) -> LofModel:
+def lof_train(dataset, min_pts: int = 10) -> LofModel:
     if min_pts < 1:
         raise ValueError(f"need min_pts >= 1, got {min_pts}")
     m = len(dataset.rows)
     if m <= min_pts:
         raise TooFewRows(f"need more than min_pts={min_pts} rows, got {m}")
-    X, mu, sd = _fit_space(dataset, standardize)
+    X, mu, sd = _fit_space(dataset)
     D = _self_distances(X)
     neighbors = _nearest(D, min_pts)
     kdist = np.take_along_axis(D, neighbors[:, -1:], axis=1)[:, 0]

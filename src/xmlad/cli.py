@@ -75,10 +75,6 @@ _AT_LEAST_1 = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 _PROPORTION = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _POSITIVE_PROPORTION = _bounded(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
-_STANDARDIZE_HELP = ("z-score every column on the training rows before the "
-                     "PGA/GDE/LOF distances; without it, large-scale columns "
-                     "such as epoch-second dates dominate them")
-
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="xmlad",
@@ -119,8 +115,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gde-sign-mode", default="corrected",
                    choices=["corrected", "literal"])
     p.add_argument("--lof-min-pts", type=_AT_LEAST_1, default=10)
-    p.add_argument("--standardize", action="store_true",
-                   help=_STANDARDIZE_HELP)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("score", help="score a dataset with a trained model")
@@ -160,8 +154,9 @@ def build_parser() -> _Parser:
     p.add_argument("--algos", default="adifa-gm,pga,gde,lof")
     p.add_argument("--report", required=True, help="report directory")
     p.add_argument("--lof-min-pts", type=_AT_LEAST_1, default=10)
+    # baselines always z-score; kept, unread, for perfbench's evaluate argv
     p.add_argument("--standardize", action="store_true",
-                   help=_STANDARDIZE_HELP)
+                   help=argparse.SUPPRESS)
 
     p = sub.add_parser("learning-curve", help="nested-subset learning curve")
     p.add_argument("--dataset", required=True, help="labeled CSV")
@@ -252,8 +247,7 @@ def _cmd_train(args) -> None:
            }.get(args.algo, args.algo)
     model = model_io.ALGORITHMS[tag].train(
         dataset, threshold=args.threshold, alpha=args.pga_alpha,
-        k=args.pga_k, min_pts=args.lof_min_pts,
-        standardize=args.standardize)
+        k=args.pga_k, min_pts=args.lof_min_pts)
     model_io.save_model(model, args.output)
 
 
@@ -346,8 +340,7 @@ def _cmd_evaluate(args) -> None:
     results = {}
     for tag in tags:
         results[tag] = evaluate.cv_5x2(dataset, tag, seed=args.seed,
-                                       min_pts=args.lof_min_pts,
-                                       standardize=args.standardize)
+                                       min_pts=args.lof_min_pts)
         log.info("%s mean AUC %.4f", tag, results[tag].mean_auc)
     header = ["algorithm"] + [f"fold_{i}" for i in range(10)] + ["mean"]
     _write_rows(report_dir / "folds.csv", [header] + [

@@ -50,8 +50,7 @@ def _adifa(psi: str) -> Algorithm:
 def _gde(sign_mode: str) -> Algorithm:
     return Algorithm(
         "gde", GdeModel,
-        lambda ds, **o: baselines.gde_train(ds, sign_mode=sign_mode,
-                                            **_pick(o, "standardize")),
+        lambda ds, **o: baselines.gde_train(ds, sign_mode=sign_mode),
         lambda m, X: baselines.gde_scores(m, X), True,
         lambda m, s: ~(s > 0.5))
 
@@ -60,16 +59,14 @@ ALGORITHMS = {
     **{f"adifa-{psi}": _adifa(psi) for psi in adifa.PSI_TAGS},
     "pga": Algorithm(
         "pga", PgaModel,
-        lambda ds, **o: baselines.pga_train(
-            ds, **_pick(o, "alpha", "k", "standardize")),
+        lambda ds, **o: baselines.pga_train(ds, **_pick(o, "alpha", "k")),
         lambda m, X: baselines.pga_scores(m, X), False,
         lambda m, s: s >= m.cutoff),
     "gde": _gde("corrected"),
     "gde-literal": _gde("literal"),
     "lof": Algorithm(
         "lof", LofModel,
-        lambda ds, **o: baselines.lof_train(
-            ds, **_pick(o, "min_pts", "standardize")),
+        lambda ds, **o: baselines.lof_train(ds, **_pick(o, "min_pts")),
         lambda m, X: baselines.lof_scores(m, X), False,
         lambda m, s: s >= m.lof_max),
 }

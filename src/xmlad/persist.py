@@ -25,6 +25,7 @@ reported as `CorruptFile` in one place.
 
 import hashlib
 import json
+import os
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -98,9 +99,17 @@ def loads(kind: str, text: str, build=None):
 
 
 def write(path, kind: str, body) -> None:
-    text = dumps(kind, body)  # before open, so a failure leaves the file
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write whole or not at all: a failure leaves the old file as it was."""
+    text = dumps(kind, body)
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"  # renamed onto path
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")  # the mode of "w"
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read(path, kind: str, build=None):

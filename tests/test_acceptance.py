@@ -231,11 +231,15 @@ def test_acceptance_baseline_hand_examples():
     ok = (label20 == "anomalous" and abs(s20 - math.exp(-math.sqrt(3))) < 1e-12
           and label1 == "normal" and abs(s1 - math.exp(math.sqrt(3))) < 1e-12)
 
+    # z-scored, PGA's distances are the raw ones over sd = sqrt(2/3)
     pga = pga_train(make_dataset([[0.0], [1.0], [2.0]]), alpha=0.1)
     s5, label5 = score_and_label("pga", pga, [5.0])
-    ok = ok and pga.cutoff == 1.0 and s5 == 3.0 and label5 == "anomalous"
+    sd = math.sqrt(2.0 / 3.0)
+    ok = (ok and abs(pga.cutoff * sd - 1.0) < 1e-12
+          and abs(s5 * sd - 3.0) < 1e-12 and label5 == "anomalous")
     _report("baseline hand examples (GDE {0,1,2,10}, PGA {0,1,2})", ok,
-            f"gde(20)={s20:.3f}, gde(1)={s1:.2f}, pga cutoff={pga.cutoff}")
+            f"gde(20)={s20:.3f}, gde(1)={s1:.2f}, "
+            f"pga cutoff={pga.cutoff:.4f}")
 
 
 # -- 9: determinism --------------------------------------------------------

@@ -12,6 +12,7 @@ from xmlad.adifa import (AttributeModel, attribute_entropy,
                          attribute_likelihood, classify, compute_weights,
                          localize, score_batch, train)
 from xmlad.errors import DimensionMismatch, NonFiniteData, TooFewRows
+from xmlad.model_io import load_model, save_model
 
 
 def _attr_model(values, weight=1.0):
@@ -412,3 +413,24 @@ def test_score_batch_matches_classify_on_expanded_model():
         assert result == batch[i]
         assert (result.score, result.likelihood) == (scores[i],
                                                      likelihoods[i])
+
+
+def test_train_builds_each_kernel_table_once(tmp_path, monkeypatch):
+    # train hands the model the attribute and meta tables it built; a
+    # loaded model builds its own, and scores as the trained one does
+    built = []
+    init = adifa._KernelTable.__init__
+
+    def counted(self, columns, taus):
+        built.append(len(columns))
+        init(self, columns, taus)
+    monkeypatch.setattr(adifa._KernelTable, "__init__", counted)
+    X = _expansion_rows(600)
+    model = train(make_dataset(X), psi="gm")
+    assert built == [X.shape[1], 1]
+    save_model(model, tmp_path / "m.xadmodel")
+    _, loaded = load_model(tmp_path / "m.xadmodel")
+    assert built == [X.shape[1], 1] * 2
+    points = _expansion_points(X, [am.tau for am in model.attributes])[::7]
+    for a, b in zip(score_batch(model, points), score_batch(loaded, points)):
+        assert np.array_equal(a, b)

@@ -1,16 +1,14 @@
 import math
 import random
-from dataclasses import replace
-from functools import partial
-
 import numpy as np
 import pytest
 
 from conftest import make_dataset, score_and_label
-from xmlad import baselines, persist
+from xmlad import baselines
 from xmlad.baselines import (gde_scores, gde_train, lof_scores, lof_train,
                              pga_scores, pga_train)
 from xmlad.errors import TooFewRows
+from xmlad.model_io import ALGORITHMS
 
 
 def _column(values):
@@ -20,11 +18,13 @@ def _column(values):
 # -- PGA -------------------------------------------------------------------
 
 def test_pga_hand_example():
+    # z-scores of {0, 1, 2} have spread 1: distances scale by 1 / sd
+    sd = math.sqrt(2.0 / 3.0)
     model = pga_train(_column([0.0, 1.0, 2.0]), alpha=0.1)
-    assert list(model.nn_distances) == [1.0, 1.0, 1.0]
-    assert model.cutoff == 1.0
+    assert model.nn_distances == pytest.approx([1.0 / sd] * 3, rel=1e-12)
+    assert model.cutoff == pytest.approx(1.0 / sd, rel=1e-12)
     score, label = score_and_label("pga", model, [5.0])
-    assert score == 3.0
+    assert score == pytest.approx(3.0 / sd, rel=1e-12)
     assert label == "anomalous"
 
 
@@ -66,8 +66,10 @@ def test_pga_rejects_out_of_range_options(opts):
 # -- GDE -------------------------------------------------------------------
 
 def test_gde_hand_example():
+    # the radius is 5.5 / sd in z-space; the neighbor counts do not change
+    sd = math.sqrt(15.6875)
     model = gde_train(_column([0.0, 1.0, 2.0, 10.0]))
-    assert model.radius == 5.5
+    assert model.radius == pytest.approx(5.5 / sd, rel=1e-12)
     assert model.mean_neighbors == 1.5
     assert model.std_neighbors == pytest.approx(math.sqrt(0.75))
     score, label = score_and_label("gde", model, [20.0])
@@ -111,14 +113,18 @@ def test_gde_equal_neighbor_counts_spread_one():
 
 
 def test_gde_score_overflow_is_inf():
-    # 148 rows have 149 neighbors and two have 148, so the spread is about
-    # 0.115 neighbors; a query with no neighbors lies ~1,300 spreads below
-    # the mean and its literal-mode score exp(-z) overflows
+    # in z-space rows 0 and 1 lie 40.3 apart, beyond the radius of 34.9,
+    # and at most 29.5 from the other rows, which lie 17.4 apart (column 1
+    # is repeated six times so that it weighs that much); so 148 rows have
+    # 149 neighbors and two have 148, and the spread is about 0.115
+    # neighbors.  A query with no neighbors lies ~1,300 spreads below the
+    # mean and its literal-mode score exp(-z) overflows
     X = np.eye(150)
     X[0] = -2.0 * X[1]
+    X = np.hstack([X, np.repeat(X[:, 1:2], 5, axis=1)])
     model = gde_train(make_dataset(X), sign_mode="literal")
     assert model.std_neighbors == pytest.approx(0.115, abs=1e-3)
-    query = np.zeros((1, 150))
+    query = np.zeros((1, X.shape[1]))
     query[0, 5] = 100.0
     assert gde_scores(model, query)[0] == math.inf
 
@@ -168,7 +174,11 @@ def test_lof_uniform_grid_interior_points():
     interior = np.array(grid[2:8])
     scores = lof_scores(model, interior)
     assert np.all(np.abs(scores - 1.0) < 0.35)
-    ref = _brute_lof(grid, 2, grid[2:8])
+    # a grid point's left and right neighbors tie for its second nearest,
+    # and on the z-scored grid rounding breaks the tie: so the oracle reads
+    # the same z-scored points
+    points = model.training_points
+    ref = _brute_lof(points, 2, points[2:8])
     assert scores == pytest.approx(ref, rel=1e-9)
 
 
@@ -215,24 +225,43 @@ def test_lof_rejects_min_pts_below_one():
         lof_train(_column([1.0, 2.0, 3.0]), min_pts=0)
 
 
-# -- standardization -------------------------------------------------------
+# -- z-scoring -------------------------------------------------------------
 
-@pytest.mark.parametrize("train,scores", [
-    (partial(pga_train, alpha=0.2), pga_scores),
-    (gde_train, gde_scores),
-    (partial(lof_train, min_pts=5), lof_scores),
-], ids=["pga", "gde", "lof"])
-def test_standardize_equivalent_to_prescaled_input(train, scores):
-    rng = random.Random("std")
-    rows = [[rng.gauss(0, 1), rng.gauss(0, 1000)] for _ in range(25)]
-    ds = make_dataset(rows)
-    scaled = train(ds, standardize=True)
-    assert scaled.mu is not None and scaled.sd is not None
-    Z = (ds.rows - scaled.mu) / scaled.sd
-    plain = train(make_dataset(Z))
-    # every fitted field (cutoff, radius, lrd, ...) is the same
-    assert persist.dumps("m", plain) == persist.dumps(
-        "m", replace(scaled, mu=None, sd=None))
-    x = np.array([[5.0, 0.0], [0.5, 800.0], [-0.3, -150.0]])
-    assert scores(scaled, x) == pytest.approx(
-        scores(plain, (x - scaled.mu) / scaled.sd), rel=1e-12)
+@pytest.mark.parametrize("tag,opts", [
+    ("pga", {"alpha": 0.2}),
+    ("gde", {}),
+    ("gde-literal", {}),
+    ("lof", {"min_pts": 5}),
+], ids=["pga", "gde", "gde-literal", "lof"])
+def test_scores_invariant_to_affine_columns(tag, opts):
+    # z-scoring undoes any a * x + b per column (a > 0) on the training
+    # and query rows alike
+    rng = np.random.default_rng(5)
+    spread = np.array([1.0, 1000.0, 0.01])
+    rows = rng.normal(size=(40, 3)) * spread
+    queries = rng.normal(size=(15, 3)) * spread * 2.0
+    a = 10.0 ** rng.uniform(-2.0, 3.0, 3)
+    b = rng.uniform(-100.0, 100.0, 3)
+    algo = ALGORITHMS[tag]
+    results = []
+    for f in (lambda x: x, lambda x: a * x + b):
+        model = algo.train(make_dataset(f(rows)), **opts)
+        scores = algo.scores(model, f(queries))
+        results.append((scores, algo.anomalous(model, scores).tolist()))
+    (plain, plain_flags), (moved, moved_flags) = results
+    assert moved == pytest.approx(plain, rel=1e-9)
+    assert moved_flags == plain_flags
+    assert 0 < sum(plain_flags) < len(plain_flags)
+
+
+def test_pga_nn_distances_on_epoch_second_columns():
+    # columns near 1.6e9 cancel in |a|^2 + |b|^2 - 2ab unless z-scored
+    rng = np.random.default_rng(9)
+    rows = np.column_stack([1.6e9 + rng.uniform(0.0, 3.2e7, (50, 2)),
+                            rng.normal(size=(50, 3))])
+    model = pga_train(make_dataset(rows))
+    P = model.training_points
+    direct = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(direct, np.inf)
+    assert model.nn_distances == pytest.approx(direct.min(axis=1),
+                                               rel=1e-12)

@@ -148,17 +148,21 @@ def test_baseline_training(workspace):
     assert out.exists()
 
 
-@pytest.mark.parametrize("standardize", [False, True],
-                         ids=["plain", "standardize"])
+_BASELINE_OPTIONS = {"pga": ["--pga-k", "2"],
+                     "gde": ["--gde-sign-mode", "literal"],
+                     "lof": ["--lof-min-pts", "5"]}
+
+
+@pytest.mark.parametrize("options", [False, True], ids=["plain", "options"])
 @pytest.mark.parametrize("algo", ["pga", "gde", "lof"])
-def test_baseline_score_writes_batch_scores(workspace, algo, standardize):
-    # the demo schema's epoch-second Stamp columns make one-row and batch
-    # distance arithmetic round differently; score must write the batch
+def test_baseline_score_writes_batch_scores(workspace, algo, options):
+    # one-row and batch distance arithmetic can round differently; score
+    # must write the batch, with the default options and with others
     _, dataset = _pipeline(workspace)
     model = workspace / "m.xadmodel"
     assert run(["train", "--dataset", str(dataset), "--algo", algo,
                 "-o", str(model)]
-               + (["--standardize"] if standardize else [])) == 0
+               + (_BASELINE_OPTIONS[algo] if options else [])) == 0
     out = workspace / "out.csv"
     assert run(["score", "--model", str(model), "--dataset", str(dataset),
                 "-o", str(out)]) == 0
@@ -207,6 +211,8 @@ def test_learning_curve_command(workspace):
         rows = list(csv.reader(fh))
     assert rows[0] == ["train_size", "auc"]
     assert len(rows) == 11
+    # z-scored, the epoch-second Stamp columns do not drown the others
+    assert float(rows[-1][1]) > 0.9
 
 
 def test_unknown_subcommand_exit_1(capsys):
@@ -353,8 +359,9 @@ def _gen_corpus_params(ws, text):
             str(ws / "params.json"), "-n", "3", "--out", str(ws / "gen")]
 
 
-def _dumps_with_nan(kind, body):
-    """`persist.dumps` without its refusal of NaN."""
+def _hand_dumps(kind, body):
+    """The container `persist.dumps` writes, written by hand, so that it
+    may hold a NaN, which `dumps` refuses."""
     return container(kind, json.dumps(body, sort_keys=True,
                                       separators=(",", ":")))
 
@@ -437,7 +444,10 @@ _DATA_ERRORS = {
             values=_column(b["attributes"][0]["values"]))),
     "extract-nan-amount": _extract_nan_amount,
     "model-nan-value": lambda ws: _edited_model(ws, "adifa", _nan_value,
-                                                _dumps_with_nan),
+                                                _hand_dumps),
+    # a model of the former raw-distance pga: z-scores are required now
+    "model-raw-pga": lambda ws: _edited_model(
+        ws, "pga", lambda b: b.update(mu=None, sd=None), _hand_dumps),
 }
 
 

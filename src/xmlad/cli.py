@@ -337,17 +337,16 @@ def _cmd_evaluate(args) -> None:
     dataset = FlatDataset.from_csv(args.dataset)
     report_dir = Path(args.report)
     report_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for tag in tags:
-        results[tag] = evaluate.cv_5x2(dataset, tag, seed=args.seed,
-                                       min_pts=args.lof_min_pts)
-        log.info("%s mean AUC %.4f", tag, results[tag].mean_auc)
+    results = evaluate.cv_5x2_many(dataset, tags, seed=args.seed,
+                                   min_pts=args.lof_min_pts)
+    for tag, result in zip(tags, results):
+        log.info("%s mean AUC %.4f", tag, result.mean_auc)
     header = ["algorithm"] + [f"fold_{i}" for i in range(10)] + ["mean"]
     _write_rows(report_dir / "folds.csv", [header] + [
-        [tag] + [repr(a) for a in results[tag].fold_aucs]
-        + [repr(results[tag].mean_auc)] for tag in tags])
+        [tag] + [repr(a) for a in result.fold_aucs] + [repr(result.mean_auc)]
+        for tag, result in zip(tags, results)])
     if len(tags) >= 2:
-        matrix = [[results[t].fold_aucs[i] for t in tags] for i in range(10)]
+        matrix = [[r.fold_aucs[i] for r in results] for i in range(10)]
         report = evaluate.friedman_bonferroni(matrix, reference=0)
         sym = {"better": "+", "worse": "-", "equal": "="}
         lines = [f"friedman_p {report.friedman_p!r}",
@@ -360,9 +359,9 @@ def _cmd_evaluate(args) -> None:
                          + "\t".join(sym[c] for c in report.pairwise[i]))
         (report_dir / "significance.txt").write_text(
             "\n".join(lines) + "\n", encoding="utf-8")
-    for tag in tags:
+    for tag, result in zip(tags, results):
         _write_rows(report_dir / f"roc_{tag}.csv", [["fpr", "tpr"]] + [
-            [repr(fpr), repr(tpr)] for fpr, tpr in results[tag].roc.points])
+            [repr(fpr), repr(tpr)] for fpr, tpr in result.roc.points])
 
 
 def _cmd_learning_curve(args) -> None:

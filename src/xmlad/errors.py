@@ -37,8 +37,10 @@ class NonFiniteData(XmladError):
 
 def check_finite(X) -> None:
     # a NaN cell would otherwise pass as normal: min(1.0, nan) is 1.0
-    if not np.isfinite(X).all():
-        raise NonFiniteData("input contains non-finite cells")
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, column = np.argwhere(~np.atleast_2d(finite))[0]
+        raise NonFiniteData(f"non-finite cell at row {row}, column {column}")
 
 
 class DimensionMismatch(XmladError):

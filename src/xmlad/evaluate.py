@@ -3,6 +3,9 @@ adjusted Friedman + Bonferroni-Dunn ranking, and learning curves.
 
 Each algorithm's score polarity lives in the model_io table; the harness
 hands AUC a unified orientation where larger scores mean more anomalous.
+Cross-validation builds each fold once for every algorithm: the baselines
+fit from one shared `baselines.Space` and rank from one shared matrix of
+query distances per fold.
 """
 
 from dataclasses import dataclass
@@ -10,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from . import baselines
 from .errors import (DegenerateMatrix, LengthMismatch, SingleClass,
-                     TooFewRows)
+                     TooFewRows, check_finite)
 from .flatten import FlatDataset
 from .model_io import algorithm
 
@@ -20,11 +24,14 @@ def train_algorithm(tag: str, dataset: FlatDataset, **opts):
     return algorithm(tag).train(dataset, **opts)
 
 
+def _oriented(algo, native) -> np.ndarray:
+    return -native if algo.larger_is_normal else native
+
+
 def anomaly_scores(tag: str, model, X) -> np.ndarray:
     """Scores oriented so that larger means more anomalous."""
     algo = algorithm(tag)
-    native = algo.scores(model, X)
-    return -native if algo.larger_is_normal else native
+    return _oriented(algo, algo.scores(model, X))
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +110,11 @@ def _subset(dataset: FlatDataset, idx) -> FlatDataset:
         if dataset.labels is not None else None)
 
 
-def cv_5x2(dataset: FlatDataset, tag: str, seed: int = 0, **opts) -> CvResult:
-    """Five seeded 50/50 splits with swapped roles; training folds are
-    stripped to normal rows before fitting (one-class contract).  The ROC
-    curve kept is that of the first fold, whose AUC is fold_aucs[0]."""
-    if dataset.labels is None:
-        raise SingleClass("dataset must carry labels")
-    labels = np.asarray(dataset.labels)
-    if not (labels == "anomalous").any() or not (labels == "normal").any():
-        raise SingleClass("both classes must be present")
-    m = dataset.rows.shape[0]
-    fold_aucs = []
+def _folds(labels: np.ndarray, seed: int):
+    """The ten (training rows, test rows) of the 5x2 splits: five seeded
+    50/50 splits with swapped roles, training rows stripped to the normal
+    ones (one-class contract)."""
+    m = len(labels)
     for rep in range(5):
         rng = np.random.default_rng([seed, rep])
         perm = rng.permutation(m)
@@ -123,15 +124,59 @@ def cv_5x2(dataset: FlatDataset, tag: str, seed: int = 0, **opts) -> CvResult:
             normal_idx = train_idx[labels[train_idx] == "normal"]
             if len(normal_idx) < 2:
                 raise TooFewRows("not enough normal rows in a training fold")
-            model = train_algorithm(tag, _subset(dataset, normal_idx), **opts)
-            scores = anomaly_scores(tag, model, dataset.rows[test_idx])
-            if fold_aucs:
-                fold_aucs.append(auc(scores, labels[test_idx]))
-            else:  # fold 0 keeps its curve, whose area is its AUC
-                roc = roc_curve(scores, labels[test_idx])
-                fold_aucs.append(roc.auc)
-    return CvResult(fold_aucs=tuple(fold_aucs),
-                    mean_auc=float(np.mean(fold_aucs)), seed=seed, roc=roc)
+            yield normal_idx, test_idx
+
+
+def cv_5x2_many(dataset: FlatDataset, tags, seed: int = 0,
+                **opts) -> tuple:
+    """`cv_5x2` of each tag, one CvResult per listed tag in listed order.
+
+    Each fold's split and training subset are built once for all tags, and
+    the baselines among them share one `baselines.Space` of the training
+    rows and one matrix of test-to-training distances, which are read-only.
+    """
+    tags = list(tags)
+    if not tags:
+        return ()
+    if dataset.labels is None:
+        raise SingleClass("dataset must carry labels")
+    labels = np.asarray(dataset.labels)
+    if not (labels == "anomalous").any() or not (labels == "normal").any():
+        raise SingleClass("both classes must be present")
+    # checked whole, so that an error names the cell by its dataset row
+    check_finite(dataset.rows)
+    algos = [algorithm(tag) for tag in tags]
+    fold_aucs = [[] for _ in tags]
+    rocs = [None] * len(tags)
+    for normal_idx, test_idx in _folds(labels, seed):
+        train = _subset(dataset, normal_idx)
+        X, y = dataset.rows[test_idx], labels[test_idx]
+        space = query = None  # built for the fold's first baseline
+        for i, algo in enumerate(algos):
+            if algo.fit is None:
+                native = algo.scores(algo.train(train, **opts), X)
+            else:
+                if space is None:
+                    space = baselines.fit_space(train)
+                    query = baselines.query_distances(space, X)
+                native = algo.rank(algo.fit(space, **opts), query)
+            scores = _oriented(algo, native)
+            # fold 0 keeps its curve, whose area is its AUC
+            if rocs[i] is None:
+                rocs[i] = roc_curve(scores, y)
+                fold_aucs[i].append(rocs[i].auc)
+            else:
+                fold_aucs[i].append(auc(scores, y))
+    return tuple(CvResult(fold_aucs=tuple(a), mean_auc=float(np.mean(a)),
+                          seed=seed, roc=roc)
+                 for a, roc in zip(fold_aucs, rocs))
+
+
+def cv_5x2(dataset: FlatDataset, tag: str, seed: int = 0, **opts) -> CvResult:
+    """Five seeded 50/50 splits with swapped roles; training folds are
+    stripped to normal rows before fitting (one-class contract).  The ROC
+    curve kept is that of the first fold, whose AUC is fold_aucs[0]."""
+    return cv_5x2_many(dataset, [tag], seed, **opts)[0]
 
 
 # ---------------------------------------------------------------------------

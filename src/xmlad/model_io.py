@@ -3,8 +3,9 @@
 `ALGORITHMS` maps each algorithm tag to everything the rest of the package
 needs to know about it: the container kind it is saved under, its model
 dataclass, how to train it, its native scores and their polarity, and (for
-the baselines) the rule that labels those scores.  Adding an algorithm is
-one entry.
+the baselines) the rule that labels those scores and the fit and rank steps
+that work from a shared `baselines.Space` and query distance matrix.
+Adding an algorithm is one entry.
 
 Each model kind gets its own container header (xmlad-adifa, xmlad-pga, ...)
 whose body holds one key per dataclass field (`persist.dumps`/`decode`).
@@ -32,6 +33,11 @@ class Algorithm:
     larger_is_normal: bool  # native scores grow with normality
     # (model, native scores) -> boolean array, True where anomalous
     anomalous: Optional[Callable] = None
+    # baselines only: train and scores split at the distances, so that one
+    # space serves several algorithms.  fit: (baselines.Space, **opts) ->
+    # model, unused opts ignored; rank: (model, query distances) -> native
+    fit: Optional[Callable] = None
+    rank: Optional[Callable] = None
 
 
 def _pick(opts: dict, *names) -> dict:
@@ -52,7 +58,9 @@ def _gde(sign_mode: str) -> Algorithm:
         "gde", GdeModel,
         lambda ds, **o: baselines.gde_train(ds, sign_mode=sign_mode),
         lambda m, X: baselines.gde_scores(m, X), True,
-        lambda m, s: ~(s > 0.5))
+        lambda m, s: ~(s > 0.5),
+        fit=lambda sp, **o: baselines.gde_fit(sp, sign_mode=sign_mode),
+        rank=lambda m, D: baselines.gde_rank(m, D))
 
 
 ALGORITHMS = {
@@ -61,14 +69,18 @@ ALGORITHMS = {
         "pga", PgaModel,
         lambda ds, **o: baselines.pga_train(ds, **_pick(o, "alpha", "k")),
         lambda m, X: baselines.pga_scores(m, X), False,
-        lambda m, s: s >= m.cutoff),
+        lambda m, s: s >= m.cutoff,
+        fit=lambda sp, **o: baselines.pga_fit(sp, **_pick(o, "alpha", "k")),
+        rank=lambda m, D: baselines.pga_rank(m, D)),
     "gde": _gde("corrected"),
     "gde-literal": _gde("literal"),
     "lof": Algorithm(
         "lof", LofModel,
         lambda ds, **o: baselines.lof_train(ds, **_pick(o, "min_pts")),
         lambda m, X: baselines.lof_scores(m, X), False,
-        lambda m, s: s >= m.lof_max),
+        lambda m, s: s >= m.lof_max,
+        fit=lambda sp, **o: baselines.lof_fit(sp, **_pick(o, "min_pts")),
+        rank=lambda m, D: baselines.lof_rank(m, D)),
 }
 
 

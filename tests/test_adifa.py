@@ -182,10 +182,10 @@ def test_classify_dimension_check():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scoring_rejects_non_finite(bad):
     model = train(make_dataset([[1.0, 2.0], [2.0, 3.0], [0.0, 1.0]]))
-    with pytest.raises(NonFiniteData):
+    with pytest.raises(NonFiniteData, match="cell at row 0, column 1$"):
         classify(model, [1.0, bad])
-    with pytest.raises(NonFiniteData):
-        score_batch(model, [[1.0, 2.0], [bad, 2.0]])
+    with pytest.raises(NonFiniteData, match="cell at row 1, column 0$"):
+        score_batch(model, [[1.0, 2.0], [bad, 2.0], [bad, bad]])
 
 
 # -- localization ----------------------------------------------------------

@@ -206,7 +206,8 @@ def test_nearest_matches_stable_argsort_on_ties(kind):
         m = int(rng.integers(2, 60))
         if kind == "duplicate-rows":
             points = rng.integers(0, 3, (m, 2)).astype(float)
-            D = baselines._self_distances(points)
+            D = baselines._pairwise_distances(points, points)
+            np.fill_diagonal(D, np.inf)
         else:
             D = rng.integers(0, 4, (int(rng.integers(1, 30)), m)).astype(float)
         for k in range(1, m + 1):
@@ -265,3 +266,68 @@ def test_pga_nn_distances_on_epoch_second_columns():
     np.fill_diagonal(direct, np.inf)
     assert model.nn_distances == pytest.approx(direct.min(axis=1),
                                                rel=1e-12)
+
+
+# -- shared distance steps -------------------------------------------------
+
+def test_pairwise_distances_in_place_match_formula():
+    # the in-place steps are the operations of the one-line formula, in its
+    # order; duplicate rows make |a|^2 + |b|^2 - 2ab round below zero, where
+    # the clamp must give the same zero
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(60, 7)) * rng.uniform(0.1, 100.0, 7)
+    A[30:] = A[:30]
+    B = np.vstack([A[::3], rng.normal(size=(20, 7))])
+    clamped = 0
+    for P, Q in ((A, A), (A, B), (B, A)):
+        aa = (P * P).sum(axis=1)[:, None]
+        bb = (Q * Q).sum(axis=1)[None, :]
+        raw = aa + bb - 2.0 * (P @ Q.T)
+        clamped += int((raw < 0.0).sum())
+        D = baselines._pairwise_distances(P, Q)
+        assert np.array_equal(D, np.sqrt(np.maximum(raw, 0.0)))
+        assert np.array_equal(baselines._kth_smallest(D, 1),
+                              np.partition(D, 0, axis=1)[:, 0])
+    assert clamped > 0
+
+
+@pytest.mark.parametrize("tag", ["pga", "gde", "lof"])
+def test_no_rows_too_few_before_any_statistic(tag):
+    # the column means of no rows would warn (an error in this suite)
+    with pytest.raises(TooFewRows):
+        ALGORITHMS[tag].train(make_dataset(np.empty((0, 3))))
+
+
+def test_shared_distance_matrices_are_read_only():
+    rng = np.random.default_rng(17)
+    space = baselines.fit_space(make_dataset(rng.normal(size=(20, 3))))
+    D = baselines.query_distances(space, rng.normal(size=(5, 3)))
+    for matrix in (space.distances, D):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            np.fill_diagonal(matrix, 0.0)
+
+
+@pytest.mark.parametrize("tag,opts", [
+    ("pga", {"alpha": 0.2, "k": 2}),
+    ("gde", {}),
+    ("gde-literal", {}),
+    ("lof", {"min_pts": 5}),
+], ids=["pga", "gde", "gde-literal", "lof"])
+def test_train_and_scores_compose_the_steps(tag, opts):
+    # one space and one query matrix serve every baseline, with the models
+    # and scores of the per-algorithm train and scores calls
+    rng = np.random.default_rng(19)
+    data = make_dataset(rng.normal(size=(40, 4)))
+    queries = rng.normal(size=(15, 4))
+    space = baselines.fit_space(data)
+    D = baselines.query_distances(space, queries)
+    algo = ALGORITHMS[tag]
+    for other in ("pga", "gde", "gde-literal", "lof"):
+        ALGORITHMS[other].rank(ALGORITHMS[other].fit(space), D)
+    model = algo.fit(space, **opts)
+    alone = algo.train(data, **opts)
+    for field in vars(alone):
+        assert np.array_equal(getattr(model, field), getattr(alone, field))
+    assert np.array_equal(algo.rank(model, D), algo.scores(alone, queries))

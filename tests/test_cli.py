@@ -202,6 +202,22 @@ def test_evaluate_reports(workspace):
         assert area == pytest.approx(fold_0[tag], abs=1e-12)
 
 
+def test_evaluate_duplicate_tags(workspace):
+    # one folds.csv line per listed tag, in listed order, each the same as
+    # the tag's line when it is listed once
+    _, dataset = _pipeline(workspace, count=60)
+
+    def folds(algos):
+        report = workspace / algos.replace(",", "_")
+        assert run(["--seed", "3", "evaluate", "--dataset", str(dataset),
+                    "--algos", algos, "--report", str(report)]) == 0
+        return (report / "folds.csv").read_text(encoding="utf-8").splitlines()
+
+    header, gm, pga = folds("adifa-gm,pga")
+    assert folds("pga,pga") == [header, pga, pga]
+    assert folds("adifa-gm,pga,adifa-gm") == [header, gm, pga, gm]
+
+
 def test_learning_curve_command(workspace):
     _, dataset = _pipeline(workspace, count=100)
     out = workspace / "curve.csv"
@@ -471,7 +487,8 @@ def test_score_non_finite_exit_2(workspace, capsys, algo):
     bad = _with_nan(dataset, workspace / "nan.csv")
     assert run(["score", "--model", str(model), "--dataset", str(bad),
                 "-o", str(workspace / "out.csv")]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    # the fourth CSV line is data row 2, as the `row` column of `score` counts
+    assert "non-finite cell at row 2, column 0" in capsys.readouterr().err
     assert not (workspace / "out.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,10 +8,11 @@ from scipy import stats
 
 import oracle
 from conftest import make_dataset
-from xmlad import evaluate
-from xmlad.errors import (DegenerateMatrix, LengthMismatch, SingleClass)
-from xmlad.evaluate import (auc, cv_5x2, friedman_bonferroni, learning_curve,
-                            paired_t_test, roc_curve)
+from xmlad import evaluate, model_io
+from xmlad.errors import (DegenerateMatrix, LengthMismatch, NonFiniteData,
+                          SingleClass)
+from xmlad.evaluate import (auc, cv_5x2, cv_5x2_many, friedman_bonferroni,
+                            learning_curve, paired_t_test, roc_curve)
 
 
 def _labeled_blobs(rng, m_normal=120, m_anom=30, shift=1e6):
@@ -106,6 +108,92 @@ def test_cv_requires_labels():
     ds = make_dataset([[1.0], [2.0]])
     with pytest.raises(SingleClass):
         cv_5x2(ds, "pga")
+
+
+_CV_TAGS = ["adifa-gm", "pga", "gde", "gde-literal", "lof"]
+
+
+def _overlapping_blobs(seed, m_normal=120, m_anom=40):
+    """Anomalies 1.5 spreads off in three of four columns, which differ in
+    scale: no algorithm separates the classes perfectly."""
+    rng = np.random.default_rng(seed)
+    rows = np.vstack([rng.normal(size=(m_normal, 4)),
+                      rng.normal(size=(m_anom, 4)) + [1.5, 1.5, 1.5, 0.0]])
+    rows *= [1.0, 10.0, 1e3, 1e9]
+    labels = ["normal"] * m_normal + ["anomalous"] * m_anom
+    order = rng.permutation(len(rows))
+    return make_dataset(rows[order], labels=[labels[i] for i in order])
+
+
+def _cv_one_model_at_a_time(ds, tag, seed, **opts):
+    """Fold AUCs from each fold's own `train_algorithm` and `anomaly_scores`
+    calls: the split of `cv_5x2`, with nothing shared between algorithms."""
+    labels = np.asarray(ds.labels)
+    m = len(labels)
+    aucs = []
+    for rep in range(5):
+        perm = np.random.default_rng([seed, rep]).permutation(m)
+        a, b = perm[:m // 2], perm[m // 2:]
+        for train_idx, test_idx in ((a, b), (b, a)):
+            normal = train_idx[labels[train_idx] == "normal"]
+            model = evaluate.train_algorithm(
+                tag, make_dataset(ds.rows[normal]), **opts)
+            scores = evaluate.anomaly_scores(tag, model, ds.rows[test_idx])
+            aucs.append(auc(scores, labels[test_idx]))
+    return tuple(aucs)
+
+
+def test_cv_many_matches_each_tag_alone():
+    ds = _overlapping_blobs(23)
+    together = cv_5x2_many(ds, _CV_TAGS, seed=6, min_pts=7)
+    assert len(together) == len(_CV_TAGS)
+    for tag, result in zip(_CV_TAGS, together):
+        alone = cv_5x2(ds, tag, seed=6, min_pts=7)
+        assert result.fold_aucs == alone.fold_aucs
+        assert result.roc.points == alone.roc.points
+        assert result.mean_auc == alone.mean_auc
+        assert result.fold_aucs == _cv_one_model_at_a_time(ds, tag, 6,
+                                                           min_pts=7)
+        assert len(set(result.fold_aucs)) > 1  # not all folds perfect
+
+
+def test_cv_many_keeps_duplicate_tags_apart():
+    ds = _overlapping_blobs(29)
+    pga = cv_5x2(ds, "pga", seed=2)
+    gm = cv_5x2(ds, "adifa-gm", seed=2)
+    for tags, expected in ((["pga", "pga"], [pga, pga]),
+                           (["adifa-gm", "pga", "adifa-gm"], [gm, pga, gm])):
+        results = cv_5x2_many(ds, tags, seed=2)
+        assert [len(r.fold_aucs) for r in results] == [10] * len(tags)
+        assert [r.fold_aucs for r in results] == [
+            e.fold_aucs for e in expected]
+        assert [r.roc.points for r in results] == [
+            e.roc.points for e in expected]
+    assert cv_5x2_many(ds, [], seed=2) == ()
+
+
+def test_cv_names_a_non_finite_cell_by_its_dataset_row():
+    # not by its row in a fold's training subset or test rows
+    ds = _overlapping_blobs(37)
+    ds.rows[17, 2] = np.nan
+    with pytest.raises(NonFiniteData, match="cell at row 17, column 2$"):
+        cv_5x2_many(ds, ["lof", "adifa-gm"], seed=1)
+
+
+def test_cv_step_writing_a_shared_matrix_raises(monkeypatch):
+    # a fit step that wrote into the fold's distances would change the
+    # scores of every baseline after it; the shared matrix refuses the write
+    pga = model_io.ALGORITHMS["pga"]
+
+    def careless_fit(space, **opts):
+        np.fill_diagonal(space.distances, 0.0)
+        return pga.fit(space, **opts)
+
+    monkeypatch.setitem(model_io.ALGORITHMS, "careless",
+                        dataclasses.replace(pga, fit=careless_fit))
+    ds = _overlapping_blobs(31)
+    with pytest.raises(ValueError, match="read-only"):
+        cv_5x2_many(ds, ["pga", "careless", "lof"], seed=1)
 
 
 # -- paired t-test ---------------------------------------------------------

@@ -1,11 +1,17 @@
-"""Scaling record of ADIFA's `train` and `score_batch`, as a BENCH_<n>.json.
+"""Scaling record of ADIFA's `train` and `score_batch`, and of a
+four-algorithm `xmlad evaluate`, as a BENCH_<n>.json.
 
     PYTHONPATH=<checkout>/src python3 tools/scaling.py --label TEXT \
         --out BENCH_<n>.json [--sizes 1000 4000 16000] [--runs FILE ...]
 
 Times `adifa.train` (psi gm, in s) and `adifa.score_batch` (in ms per row,
 over 500 held-out documents) on the demo corpus of
-`synth.generate_normal_corpus(seed=11)` at each size.  A control of 121
+`synth.generate_normal_corpus(seed=11)` at each size.  At each size it also
+times `cli.run(["--seed", "1", "evaluate", "--algos",
+"adifa-gm,pga,gde,lof", ...])` on that corpus with half of its documents
+injected by `inject.make_anomalous_corpus` (anomaly index 0.05, every
+attack class, seed 13) and flattened with their labels; it goes through the
+CLI, so the same script times any checkout's `evaluate`.  A control of 121
 all-distinct normal columns at m = 2,000, where no value repeats, times
 `train`, `score_batch` of 1,000 rows and `classify`.  Times are the best
 of 3 runs, or of 1 above m = 4,000.  Each `--runs` file holds the result
@@ -20,18 +26,24 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy
 
-from xmlad import adifa, extract, flatten, synth
+from xmlad import adifa, cli, extract, flatten, inject, synth
+# imported before any timing, so that no timed run loads scipy.stats
+from xmlad import evaluate  # noqa: F401
 from xmlad.schema import parse_xsd
 
 CORPUS_SEED = 11
 HELDOUT_SEED = 12
 HELDOUT = 500
 CONTROL_M = 2000
+INJECT_SEED = 13
+EVAL_ALGOS = "adifa-gm,pga,gde,lof"
 
 
 def best_of(repeats, call):
@@ -59,19 +71,50 @@ def demo_data(m):
             flatten.flatten_matrix(held, schema, dictionary).rows)
 
 
+def labelled_csv(m, path):
+    """The m documents of `demo_data`, half of them injected, flattened
+    with their labels into the CSV at path."""
+    schema = parse_xsd(synth.demo_schema_xsd())
+    params = synth.demo_params(schema, seed=0)
+    docs, labels, _ = inject.make_anomalous_corpus(
+        synth.generate_normal_corpus(schema, params, m, seed=CORPUS_SEED),
+        schema, inject.InjectionSpec(anomaly_index=0.05, seed=INJECT_SEED),
+        fraction_anomalous=0.5)
+    fm = extract.build_feature_matrix(docs, schema)
+    flatten.flatten_matrix(fm, schema, flatten.build_dictionary(fm, schema),
+                           labels=list(labels)).to_csv(path)
+
+
+def evaluate_s(m, repeats, work):
+    """Best time of `xmlad --seed 1 evaluate` on the labelled corpus."""
+    labelled_csv(m, work / "labelled.csv")
+    argv = ["--seed", "1", "evaluate", "--algos", EVAL_ALGOS,
+            "--dataset", str(work / "labelled.csv"),
+            "--report", str(work / "report")]
+    seconds, rc = best_of(repeats, lambda: cli.run(argv))
+    if rc != 0:
+        raise SystemExit(f"evaluate at m = {m} exited {rc}")
+    return seconds
+
+
 def demo_sizes(sizes):
     out = []
-    for m in sizes:
-        data, held = demo_data(m)
-        repeats = 3 if m <= 4000 else 1
-        train_s, model = best_of(repeats, lambda: adifa.train(data, psi="gm"))
-        score_s, _ = best_of(repeats, lambda: adifa.score_batch(model, held))
-        out.append({"m": m, "columns": data.rows.shape[1],
-                    "distinct_values": int(sum(len(np.unique(c))
-                                               for c in data.rows.T)),
-                    "repeats": repeats, "train_s": train_s,
-                    "score_batch_ms_per_row": 1e3 * score_s / len(held)})
-        print(json.dumps(out[-1]), file=sys.stderr)
+    with tempfile.TemporaryDirectory() as work:
+        for m in sizes:
+            data, held = demo_data(m)
+            repeats = 3 if m <= 4000 else 1
+            train_s, model = best_of(repeats,
+                                     lambda: adifa.train(data, psi="gm"))
+            score_s, _ = best_of(repeats,
+                                 lambda: adifa.score_batch(model, held))
+            out.append({"m": m, "columns": data.rows.shape[1],
+                        "distinct_values": int(sum(len(np.unique(c))
+                                                   for c in data.rows.T)),
+                        "repeats": repeats, "train_s": train_s,
+                        "score_batch_ms_per_row": 1e3 * score_s / len(held),
+                        "evaluate_algos": EVAL_ALGOS,
+                        "evaluate_s": evaluate_s(m, repeats, Path(work))})
+            print(json.dumps(out[-1]), file=sys.stderr)
     return out
 
 

@@ -52,10 +52,6 @@ _KEEP = 1e-13  # largest bound, relative to the sum, that a cell keeps
 _TINY = np.finfo(float).tiny  # least normal float
 
 
-def _sigma_floor(sigma: float, mean: float) -> float:
-    return max(sigma, _SIGMA_FLOOR_SCALE * max(1.0, abs(mean)))
-
-
 def attribute_entropy(column, counts=None) -> float:
     """Shannon entropy (bits) of a column's empirical distribution.
 
@@ -107,7 +103,7 @@ class _Group(NamedTuple):
     starts: np.ndarray  # where each column starts in the group
     values: np.ndarray  # each column's distinct values, in order
     neg: np.ndarray  # -tau of each value's column
-    counts: np.ndarray | None  # of each value; None where all are 1
+    counts: np.ndarray  # of each value
     rows: int  # point rows per block
 
 
@@ -118,7 +114,6 @@ class _Expansion(NamedTuple):
     e^(-t^2) sum_n A_n H_n(t), a polynomial in t times e^(-t^2)."""
 
     cols: np.ndarray  # the wide columns of the table
-    groups: list  # each wide column's own _Group, for its exact sums
     lens: np.ndarray  # boxes per wide column
     starts: np.ndarray  # where each wide column's boxes start
     centres: np.ndarray  # of each box: the midpoint of its least and
@@ -174,8 +169,7 @@ def _pack(cols, lens, offsets, values, counts, neg):
         else:
             at = np.repeat(base, lens[g]) + np.arange(lens[g].sum())
         out.append(_Group(
-            g, base, lens[g], starts, values[at], neg[at],
-            None if (counts[at] == 1.0).all() else counts[at],
+            g, base, lens[g], starts, values[at], neg[at], counts[at],
             max(1, _BLOCK_CELLS // lens[g].sum())))
     return out
 
@@ -189,8 +183,8 @@ class _KernelTable:
     Each column's values are also cut into boxes _BOX_SIGMAS sigma wide,
     from its least value.  A wide column, one with more distinct values
     than its expansion has coefficients (boxes x _TERMS), gets a group of
-    its own and the Hermite moments of its boxes (`expansion`); `narrow`
-    groups the other columns, and `groups` is every group.  `reach` bounds
+    its own in `wide`, for its exact sums, and the Hermite moments of its
+    boxes (`expansion`); `narrow` groups the other columns.  `reach` bounds
     each column's points to within _REACH h' of its values, where every
     kernel is already 0."""
 
@@ -225,8 +219,7 @@ class _KernelTable:
         def pack(cols):
             return _pack(cols, lens, self.offsets, values, counts, neg)
         self.narrow = pack(np.flatnonzero(~wide))
-        wide_groups = [pack(np.array([j]))[0] for j in np.flatnonzero(wide)]
-        self.groups = self.narrow + wide_groups
+        self.wide = [pack(np.array([j]))[0] for j in np.flatnonzero(wide)]
         self.expansion = None
         if not wide.any():
             return
@@ -246,7 +239,7 @@ class _KernelTable:
                 term *= s
             moments.append(np.add.reduceat(term, first))
         self.expansion = _Expansion(
-            np.flatnonzero(wide), wide_groups, boxes[wide],
+            np.flatnonzero(wide), boxes[wide],
             np.concatenate([[0], np.cumsum(boxes[wide])[:-1]]), centres,
             scales, sum(h[:, None] * a for h, a in zip(_HERMITE, moments)),
             _CRAMER_K * _tail(_TERMS) * moments[0],
@@ -306,9 +299,11 @@ class DetectionResult:
 
 
 def _fit_kernel(values: np.ndarray):
-    sigma = _sigma_floor(float(values.std()), float(values.mean()))
+    """Each column's sigma, tau and norm, along the last axis of values."""
+    sigma = np.maximum(values.std(axis=-1), _SIGMA_FLOOR_SCALE * np.maximum(
+        1.0, np.abs(values.mean(axis=-1))))
     tau = 1.0 / (2.0 * sigma * sigma)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
+    norm = 1.0 / np.sqrt(2.0 * np.pi * sigma * sigma)
     return sigma, tau, norm
 
 
@@ -330,12 +325,10 @@ def _group_sums(g: _Group, points, own=None) -> np.ndarray:
         k = np.multiply(g.neg, diff, out=work[:diff.size].reshape(diff.shape))
         k *= diff
         np.exp(k, out=k)
-        if g.counts is not None:
-            k *= g.counts
+        k *= g.counts
         if own is not None:  # exp(0) = 1 at the row's own value
             at = own[block] - g.base
-            k[np.arange(len(k))[:, None], at] = (
-                0.0 if g.counts is None else g.counts[at] - 1.0)
+            k[np.arange(len(k))[:, None], at] = g.counts[at] - 1.0
         np.add.reduceat(k, g.starts, axis=1, out=out[block])
     return out
 
@@ -403,14 +396,14 @@ def _kernel_sums(table: _KernelTable, points, own=None,
     """
     out = np.empty(points.shape)
     e = table.expansion if expand else None
-    for g in table.groups if e is None else table.narrow:
+    for g in table.narrow + table.wide if e is None else table.narrow:
         _fill(out, table, g, points, own)
     if e is not None:
         sums, kept = _hermite_sums(
             e, table.reached(points, (slice(None), e.cols)), own is not None)
         out[:, e.cols] = sums
         for i in np.flatnonzero(~kept.all(axis=0)):
-            _fill(out, table, e.groups[i], points, own,
+            _fill(out, table, table.wide[i], points, own,
                   np.flatnonzero(~kept[:, i]))
     return out
 
@@ -455,15 +448,16 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
         raise TooFewRows(f"need at least 2 rows, got {m}")
     check_finite(X)
 
-    sigmas, taus, norms = np.array([_fit_kernel(c) for c in X.T]).T
+    columns = X.T.copy()  # C order: each row reduces as a 1-D column
+    sigmas, taus, norms = _fit_kernel(columns)
     # each cell's index among its column's distinct values, and their counts
     distinct = [np.unique(c, return_inverse=True, return_counts=True)[1:]
-                for c in X.T]
+                for c in columns]
     entropies = [attribute_entropy(c, counts)
-                 for c, (_, counts) in zip(X.T, distinct)]
+                 for c, (_, counts) in zip(columns, distinct)]
     weights = np.array(compute_weights(entropies))
 
-    columns = [np.sort(c) for c in X.T]
+    columns.sort(axis=1)
     kernels = _KernelTable(columns, taus)
     own = kernels.offsets[:-1] + np.column_stack([i for i, _ in distinct])
     loo = norms * _kernel_sums(kernels, X, own, expand=True) / (m - 1)

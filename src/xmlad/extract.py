@@ -5,6 +5,8 @@ measurement vector per element occurrence.  Parse failures are flagged and
 kept; they never silently disappear.
 """
 
+import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
@@ -52,10 +54,17 @@ class FeatureMatrix:
         return persist.read(path, "fm", partial(persist.decode, cls))
 
 
+_G_YEAR_MONTH = re.compile(r"(\d{4})(-\d{2})?([+-]\d{2}:\d{2})?")
+
+
 def _parse_epoch_seconds(text: str) -> float:
     t = text.strip()
     if t.endswith("Z"):
         t = t[:-1] + "+00:00"
+    g = _G_YEAR_MONTH.fullmatch(t)
+    if g:  # xs:gYear or xs:gYearMonth: its first instant
+        year, month, zone = g.groups()
+        t = f"{year}{month or '-01'}-01T00:00{zone or ''}"
     try:
         dt = datetime.fromisoformat(t)
     except ValueError:
@@ -91,6 +100,8 @@ def measure_occurrence(text_value: str, descriptor: ElementDescriptor) -> Measur
         else:
             value = float(descriptor.enum_values.index(text.strip()))
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):  # unparseable, or NaN, inf or 1e400
         return MeasurementVector((), failed=True)
     return MeasurementVector((value,))
 

@@ -193,8 +193,7 @@ class _Parser:
     def visit_complex(self, ct, path, name, bounds, type_stack):
         simple_content = ct.find(_xs("simpleContent"))
         if simple_content is not None:
-            deriv = (simple_content.find(_xs("extension"))
-                     or simple_content.find(_xs("restriction")))
+            deriv = _derivation(simple_content)
             if deriv is not None:
                 at, values = self.resolve_simple_name(
                     deriv.get("base", "string"), path, type_stack)
@@ -206,8 +205,7 @@ class _Parser:
 
         complex_content = ct.find(_xs("complexContent"))
         if complex_content is not None:
-            deriv = (complex_content.find(_xs("extension"))
-                     or complex_content.find(_xs("restriction")))
+            deriv = _derivation(complex_content)
             if deriv is not None:
                 base = deriv.get("base", "").split(":")[-1]
                 if base in self.named_complex and base not in type_stack:
@@ -253,6 +251,13 @@ class _Parser:
                                        1 if required else 0, 1))
         if parent.find(_xs("anyAttribute")) is not None:
             self.issue(path, "xsd:anyAttribute is not supported")
+
+
+def _derivation(content):
+    """content's xs:extension, else its xs:restriction, else None.  A
+    childless element is falsy, so each is tested against None."""
+    deriv = content.find(_xs("extension"))
+    return deriv if deriv is not None else content.find(_xs("restriction"))
 
 
 def _occurs_bounds(decl):

@@ -83,6 +83,43 @@ def test_attribute_likelihood_symmetry_and_tails():
     assert attribute_likelihood(model, 1e6) < 1e-300
 
 
+def _column_fit_kernel(column):
+    """The per-column formula in Python floats, the reference for the
+    vectorised `_fit_kernel`."""
+    sigma = float(column.std())
+    sigma = max(sigma, adifa._SIGMA_FLOOR_SCALE
+                * max(1.0, abs(float(column.mean()))))
+    tau = 1.0 / (2.0 * sigma * sigma)
+    norm = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
+    return sigma, tau, norm
+
+
+@pytest.mark.parametrize("m", [1, 2, 500])
+def test_fit_kernel_rows_match_per_column_formula(m):
+    rng = np.random.default_rng(m)
+    X = np.column_stack([
+        rng.normal(3.0, 2.0, m), rng.normal(-40.0, 1e-4, m),
+        np.full(m, 7.0),  # constant: the floor
+        1e9 + rng.normal(0.0, 1e-3, m),  # |mean| 1e9: the floor is 1
+        -1e9 + rng.normal(0.0, 10.0, m),
+        rng.integers(0, 3, m).astype(float)])
+    sigmas, taus, norms = adifa._fit_kernel(np.ascontiguousarray(X.T))
+    for j, column in enumerate(X.T):  # strided, as the columns of X
+        assert (sigmas[j], taus[j], norms[j]) == _column_fit_kernel(column)
+        assert adifa._fit_kernel(column) == _column_fit_kernel(column)
+    # the floor holds the constant and the 1e9 columns
+    assert sigmas[2] == adifa._SIGMA_FLOOR_SCALE * 7.0
+    assert sigmas[3] > 0.99 > X[:, 3].std()
+    if m > 1:  # train fits every column as the formula does
+        model = train(make_dataset(X))
+        assert [(am.sigma, am.tau, am.norm) for am in model.attributes] == [
+            _column_fit_kernel(column) for column in X.T]
+        # one column: X.T is C-contiguous, and train leaves X as it was
+        one = np.ascontiguousarray(X[:, :1])
+        train(make_dataset(one))
+        assert np.array_equal(one, X[:, :1])
+
+
 # -- aggregation -----------------------------------------------------------
 
 def test_aggregate_arithmetic():
@@ -285,6 +322,13 @@ def test_kernel_sums_match_per_centre_formula():
     # leave-one-out layout: every training row against its own column
     assert np.allclose(adifa._kernel_sums(table, X, own),
                        _direct_kernel_sums(X.T, taus, X, leave_out=True),
+                       rtol=1e-13, atol=0.0)
+    # leave-one-out on an all-distinct narrow column, every count 1
+    x = X[:60, :1]
+    narrow, own_x, tau_x = _table_and_own(x)
+    assert narrow.expansion is None and (narrow.narrow[0].counts == 1).all()
+    assert np.allclose(adifa._kernel_sums(narrow, x, own_x, expand=True),
+                       _direct_kernel_sums(x.T, tau_x, x, leave_out=True),
                        rtol=1e-13, atol=0.0)
     # scoring layout: new rows, some far out, against the training columns
     points = np.concatenate([_heavy_duplicate_rows(3000)[::-1][:700] + 0.25,

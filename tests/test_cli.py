@@ -458,7 +458,6 @@ _DATA_ERRORS = {
     "model-rank2-values": lambda ws: _edited_model(
         ws, "adifa", lambda b: b["attributes"][0].update(
             values=_column(b["attributes"][0]["values"]))),
-    "extract-nan-amount": _extract_nan_amount,
     "model-nan-value": lambda ws: _edited_model(ws, "adifa", _nan_value,
                                                 _hand_dumps),
     # a model of the former raw-distance pga: z-scores are required now
@@ -476,6 +475,18 @@ def test_data_error_exit_2(workspace, capsys, case):
     assert err.startswith("xmlad:") and "Traceback" not in err
     if "-o" in argv:  # a data error leaves no output file
         assert not Path(argv[argv.index("-o") + 1]).exists()
+
+
+def test_extract_flags_nan_amount(workspace):
+    # NaN is no number to measure: a parse failure of its document's row
+    argv = _extract_nan_amount(workspace)
+    assert run(argv) == 0
+    dataset = workspace / "nan.csv"
+    assert run(["flatten", str(workspace / "o.xadfm"), "--schema",
+                str(workspace / "s.xadschema"), "-o", str(dataset)]) == 0
+    ds = FlatDataset.from_csv(dataset)
+    failures = ds.rows[:, ds.column_names.index("parse_failures#count")]
+    assert failures.tolist() == [1.0] + [0.0] * 9
 
 
 @pytest.mark.parametrize("algo", ["adifa", "pga", "gde", "lof"])

@@ -33,11 +33,21 @@ def test_measure_date_epoch():
     mv = measure_occurrence("1970-01-02T00:00:00Z", DATE)
     assert mv.values == (86400.0,)
     assert measure_occurrence("1970-01-02", DATE).values == (86400.0,)
+    # xs:gYear and xs:gYearMonth measure their first instant
+    for text, seconds in [("2024", 1704067200.0), ("2024-05", 1714521600.0),
+                          ("1999", 915148800.0), ("1999-12", 944006400.0),
+                          ("1999Z", 915148800.0),
+                          ("1999-12+02:00", 944006400.0 - 7200.0),
+                          ("1999-12-05:00", 944006400.0 + 18000.0)]:
+        assert measure_occurrence(text, DATE).values == (seconds,)
+    assert measure_occurrence("1999-13", DATE).failed
 
 
 def test_unparseable_values_flagged_not_dropped():
+    # a non-finite number is no value to measure either
     for text, desc in [("not-a-number", NUM), ("D", ENUM),
-                       ("yesterday", DATE)]:
+                       ("yesterday", DATE), ("NaN", NUM), ("-INF", NUM),
+                       ("Infinity", NUM), ("1e400", NUM)]:
         mv = measure_occurrence(text, desc)
         assert mv.failed
         assert mv.values == ()

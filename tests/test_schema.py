@@ -179,3 +179,49 @@ def test_schema_round_trip(tmp_path, payment_schema):
     path2 = tmp_path / "again.xadschema"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _derived_xsd(content):
+    return f"""<?xml version="1.0"?>
+    <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+      <xs:complexType name="Base">
+        <xs:sequence>
+          <xs:element name="Id" type="xs:int"/>
+          <xs:element name="When" type="xs:date"/>
+        </xs:sequence>
+      </xs:complexType>
+      <xs:element name="Doc">
+        <xs:complexType>{content}</xs:complexType>
+      </xs:element>
+    </xs:schema>
+    """
+
+
+@pytest.mark.parametrize("derivation", [
+    '<xs:extension base="xs:decimal"/>',
+    '<xs:extension base="xs:decimal">'
+    '<xs:attribute name="unit" type="xs:string"/></xs:extension>',
+    '<xs:restriction base="xs:decimal"/>',
+], ids=["childless-extension", "extension", "restriction"])
+def test_simple_content_derivations(derivation):
+    schema = parse_xsd(_derived_xsd(
+        f"<xs:simpleContent>{derivation}</xs:simpleContent>"))
+    assert schema.issues == ()
+    assert schema.descriptors[0].path == "Doc"
+    assert schema.descriptors[0].abstract_type is AbstractType.NUMERICAL
+    expected = ["Doc", "Doc/@unit"] if "unit" in derivation else ["Doc"]
+    assert schema.paths() == expected
+
+
+@pytest.mark.parametrize("derivation,extra", [
+    ('<xs:extension base="Base"/>', []),
+    ('<xs:extension base="Base"><xs:sequence>'
+     '<xs:element name="Note" type="xs:string"/></xs:sequence>'
+     '</xs:extension>', ["Doc/Note"]),
+    ('<xs:restriction base="Base"/>', []),
+], ids=["childless-extension", "extension", "restriction"])
+def test_complex_content_derivations(derivation, extra):
+    schema = parse_xsd(_derived_xsd(
+        f"<xs:complexContent>{derivation}</xs:complexContent>"))
+    assert schema.issues == ()
+    assert schema.paths() == ["Doc/Id", "Doc/When"] + extra

@@ -43,7 +43,6 @@ _DISTINCT_BIN_LIMIT = 32
 _SIGMA_FLOOR_SCALE = 1e-9
 _HM_TERM_FLOOR = 1e-300
 _BLOCK_CELLS = 1 << 14  # kernel cells per block: 128 KB of float64
-_REACH = 40.0  # in h' = 1/sqrt(tau): exp(-tau d^2) is 0 from 27.3 h' on
 # The wide columns' Hermite expansions
 _BOX_SIGMAS = 1.0  # box width, in sigma of the column
 _TAIL_TARGET = 1e-15  # eps_p the number of terms is chosen for
@@ -184,9 +183,7 @@ class _KernelTable:
     from its least value.  A wide column, one with more distinct values
     than its expansion has coefficients (boxes x _TERMS), gets a group of
     its own in `wide`, for its exact sums, and the Hermite moments of its
-    boxes (`expansion`); `narrow` groups the other columns.  `reach` bounds
-    each column's points to within _REACH h' of its values, where every
-    kernel is already 0."""
+    boxes (`expansion`); `narrow` groups the other columns."""
 
     def __init__(self, columns, taus):
         taus = np.asarray(taus, dtype=float)
@@ -201,11 +198,7 @@ class _KernelTable:
         col = np.repeat(np.arange(len(columns)), lens)
         self.offsets = np.concatenate([[0], np.cumsum(lens)])
         neg = np.repeat(-taus, lens)
-        least, most = values[self.offsets[:-1]], values[self.offsets[1:] - 1]
-        self.reach = (least - _REACH / np.sqrt(taus),
-                      most + _REACH / np.sqrt(taus))
-
-        box = values - least[col]
+        box = values - values[self.offsets[:-1]][col]
         box *= (np.sqrt(2.0 * taus) / _BOX_SIGMAS)[col]
         np.floor(box, out=box)
         new = np.empty(len(box), dtype=bool)
@@ -244,13 +237,6 @@ class _KernelTable:
             scales, sum(h[:, None] * a for h, a in zip(_HERMITE, moments)),
             _CRAMER_K * _tail(_TERMS) * moments[0],
             max(1, _BLOCK_CELLS // len(first)))
-
-    def reached(self, points, at):
-        """points[at], a copy, with each point beyond its column's reach
-        moved to it; `at` indexes the columns last."""
-        sub = points[at]
-        return np.clip(sub, self.reach[0][at[1]], self.reach[1][at[1]],
-                       out=sub)
 
 
 @dataclass
@@ -314,6 +300,9 @@ def _group_sums(g: _Group, points, own=None) -> np.ndarray:
     A block is several point rows, each point repeated over its column's
     distinct values.  Memory is O(block) beyond the output, and each sum
     runs over its column's values in order, whatever the number of rows.
+    Points and values are finite, and tau > 0 bounds the values (sigma^2 is
+    finite, sigma >= 1e-9 |mean|), so d is finite and only (-tau d) d can
+    overflow, to -inf: a far point's kernels are exp's exact 0.
     """
     out = np.empty(points.shape)
     work = np.empty(min(g.rows, len(points)) * len(g.values))
@@ -322,8 +311,10 @@ def _group_sums(g: _Group, points, own=None) -> np.ndarray:
         diff = np.repeat(points[block], g.lens, axis=1)
         diff -= g.values
         # (-tau d) d, as in the per-centre formula, in the one buffer
-        k = np.multiply(g.neg, diff, out=work[:diff.size].reshape(diff.shape))
-        k *= diff
+        k = work[:diff.size].reshape(diff.shape)
+        with np.errstate(over="ignore"):
+            np.multiply(g.neg, diff, out=k)
+            k *= diff
         np.exp(k, out=k)
         k *= g.counts
         if own is not None:  # exp(0) = 1 at the row's own value
@@ -333,11 +324,10 @@ def _group_sums(g: _Group, points, own=None) -> np.ndarray:
     return out
 
 
-def _fill(out, table: _KernelTable, g: _Group, points, own, rows=None):
+def _fill(out, g: _Group, points, own, rows=None):
     """Write g's exact sums into out, for every row or the given rows."""
     at = (slice(None), g.cols) if rows is None else np.ix_(rows, g.cols)
-    out[at] = _group_sums(g, table.reached(points, at),
-                          None if own is None else own[at])
+    out[at] = _group_sums(g, points[at], None if own is None else own[at])
 
 
 def _hermite_sums(e: _Expansion, points, loo: bool):
@@ -354,26 +344,30 @@ def _hermite_sums(e: _Expansion, points, loo: bool):
     which is below 10 E.  With `loo` the row's own value counts once less:
     its kernel is exp(0) = 1, so S is S - 1.  A cell keeps S where S - E > 0,
     S is a normal float and E <= _KEEP (S - E), so within about 1e-12 of the
-    exact sum; any other cell is left to the exact sum.
+    exact sum; any other cell is left to the exact sum.  Far out, t or the
+    polynomial overflows to +-inf where e^(-t^2/2) is 0, and inf 0 makes S
+    NaN (points are finite and tau > 0, so nothing else is non-finite); no
+    cell keeps a NaN, so the exact sum refills it.
     """
     sums, bound = np.empty(points.shape), np.empty(points.shape)
-    for lo in range(0, len(points), e.rows):
-        block = slice(lo, lo + e.rows)
-        t = np.repeat(points[block], e.lens, axis=1)
-        t -= e.centres
-        t *= e.scales
-        g = np.square(t)
-        g *= -0.5
-        np.exp(g, out=g)  # e^(-t^2/2)
-        np.add.reduceat(g * e.bound, e.starts, axis=1, out=bound[block])
-        poly = np.empty_like(t)
-        poly[:] = e.coeffs[-1]
-        for c in e.coeffs[-2::-1]:
-            poly *= t
-            poly += c
-        poly *= g
-        poly *= g
-        np.add.reduceat(poly, e.starts, axis=1, out=sums[block])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(points), e.rows):
+            block = slice(lo, lo + e.rows)
+            t = np.repeat(points[block], e.lens, axis=1)
+            t -= e.centres
+            t *= e.scales
+            g = np.square(t)
+            g *= -0.5
+            np.exp(g, out=g)  # e^(-t^2/2)
+            np.add.reduceat(g * e.bound, e.starts, axis=1, out=bound[block])
+            poly = np.empty_like(t)
+            poly[:] = e.coeffs[-1]
+            for c in e.coeffs[-2::-1]:
+                poly *= t
+                poly += c
+            poly *= g
+            poly *= g
+            np.add.reduceat(poly, e.starts, axis=1, out=sums[block])
     if loo:
         sums -= 1.0
     excess = sums - bound
@@ -391,19 +385,17 @@ def _kernel_sums(table: _KernelTable, points, own=None,
 
     Every sum is exact, by `_group_sums`.  With `expand`, a wide column's
     cells come from `_hermite_sums` wherever its bound keeps them, and from
-    the same exact sums elsewhere.  A point beyond a column's `reach` is
-    moved to it; every kernel is 0 there as well.
+    the same exact sums elsewhere.
     """
     out = np.empty(points.shape)
     e = table.expansion if expand else None
     for g in table.narrow + table.wide if e is None else table.narrow:
-        _fill(out, table, g, points, own)
+        _fill(out, g, points, own)
     if e is not None:
-        sums, kept = _hermite_sums(
-            e, table.reached(points, (slice(None), e.cols)), own is not None)
+        sums, kept = _hermite_sums(e, points[:, e.cols], own is not None)
         out[:, e.cols] = sums
         for i in np.flatnonzero(~kept.all(axis=0)):
-            _fill(out, table, table.wide[i], points, own,
+            _fill(out, table.wide[i], points, own,
                   np.flatnonzero(~kept[:, i]))
     return out
 

@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import adifa, model_io, synth
@@ -40,7 +41,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_corpus(source: str):
-    """A directory of .xml files or a newline-delimited manifest."""
+    """A directory of .xml files or a newline-delimited manifest, whose
+    documents' names are their row ids, so no two may share one."""
     p = Path(source)
     if p.is_dir():
         files = sorted(p.glob("*.xml"))
@@ -48,6 +50,9 @@ def _load_corpus(source: str):
         files = [Path(line) for line in p.read_text(encoding="utf-8").splitlines()
                  if line.strip()]
     ids = [f.name for f in files]
+    repeated = [name for name, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise CorruptFile(f"{source}: two documents are named {repeated[0]!r}")
     return [f.read_text(encoding="utf-8") for f in files], ids
 
 
@@ -222,9 +227,15 @@ def _cmd_flatten(args) -> None:
         dictionary = build_dictionary(matrix, schema, k=args.tfidf_k)
     labels = None
     if args.labels:
+        by_id = {}
         with open(args.labels, "r", encoding="utf-8", newline="") as fh:
-            by_id = {row[0]: row[1] for row in csv.reader(fh)
-                     if len(row) > 1 and row[0] != "row_id"}
+            for row in csv.reader(fh):
+                if len(row) < 2 or row[0] == "row_id":
+                    continue
+                if by_id.setdefault(row[0], row[1]) != row[1]:
+                    raise CorruptFile(f"{args.labels}: row {row[0]!r} has "
+                                      f"two labels, {by_id[row[0]]!r} and "
+                                      f"{row[1]!r}")
         missing = [rid for rid in matrix.row_ids if rid not in by_id]
         if missing:
             raise CorruptFile(f"{args.labels}: no label for row "

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from . import persist
 from .errors import EmptyCorpus, MalformedXml
-from .schema import AbstractType, ElementDescriptor, SchemaVector
+from .schema import (BOOLEAN_ENUM_VALUES, AbstractType, ElementDescriptor,
+                     SchemaVector)
 
 
 class MeasurementVector(NamedTuple):
@@ -65,6 +66,10 @@ def _parse_epoch_seconds(text: str) -> float:
     if g:  # xs:gYear or xs:gYearMonth: its first instant
         year, month, zone = g.groups()
         t = f"{year}{month or '-01'}-01T00:00{zone or ''}"
+    # a second's fraction to 6 digits: Python 3.10 reads only 3 or 6, and
+    # 3.11 cuts longer ones to 6
+    t = re.sub(r"(?<=:\d\d)\.(\d+)",
+               lambda f: "." + f[1][:6].ljust(6, "0"), t, count=1)
     try:
         dt = datetime.fromisoformat(t)
     except ValueError:
@@ -85,20 +90,25 @@ def measure_occurrence(text_value: str, descriptor: ElementDescriptor) -> Measur
 
     Unparseable values come back flagged with an empty measurement tuple
     instead of raising; the flatten stage turns flags into a parse-failure
-    count feature.
+    count feature.  A number is ASCII without `_`: the other texts float()
+    reads with a finite value are those xs:decimal and xs:double admit.
+    xs:boolean's `1` and `0` are its literals `true` and `false`.
     """
     text = text_value if text_value is not None else ""
     at = descriptor.abstract_type
     if at is AbstractType.STRING:
         return MeasurementVector((float(len(text.split())), float(len(text))),
                                  raw_text=text)
+    t = text.strip()
     try:
         if at is AbstractType.NUMERICAL:
-            value = float(text.strip())
+            value = float(t) if t.isascii() and "_" not in t else math.nan
         elif at is AbstractType.DATE:
             value = _parse_epoch_seconds(text)
         else:
-            value = float(descriptor.enum_values.index(text.strip()))
+            if descriptor.enum_values == BOOLEAN_ENUM_VALUES:
+                t = {"0": "false", "1": "true"}.get(t, t)
+            value = float(descriptor.enum_values.index(t))
     except ValueError:
         value = math.nan
     if not math.isfinite(value):  # unparseable, or NaN, inf or 1e400

@@ -287,7 +287,8 @@ def _direct_kernel_sums(centers, taus, points, leave_out=False):
     out = np.empty(points.shape)
     for j in range(points.shape[1]):
         diff = points[:, j][:, None] - centers[j][None, :]
-        k = np.exp(-taus[j] * diff * diff)
+        with np.errstate(over="ignore"):  # at +-1.7e308, exp(-inf) = 0
+            k = np.exp(-taus[j] * diff * diff)
         if leave_out:
             np.fill_diagonal(k, 0.0)
         out[:, j] = k.sum(axis=1)
@@ -304,14 +305,18 @@ def _table_and_own(X):
 
 
 def _far_points(X, taus):
-    """Rows 0.5 h to 50 h beyond each column's range, h = 1/sqrt(tau).
-    Up to 10 h the nearest kernel's exponent is at most 100, and exp turns
-    an exponent's last-bit rounding into a relative error of |exponent|
-    ulps; at 50 h every kernel underflows to 0."""
+    """Rows 0.5 h to 50 h beyond each column's range, h = 1/sqrt(tau); X's
+    first row with each constant (sigma-floored) column 1.0 out, some 1e8 h;
+    and two rows at +-1.7e308, where tau (x - v)^2 overflows.  Up to 10 h
+    the nearest kernel's exponent is at most 100, and exp turns an
+    exponent's last-bit rounding into a relative error of |exponent| ulps;
+    from 50 h on every kernel underflows to 0."""
     h = 1.0 / np.sqrt(taus)
     steps = np.array([0.5, 2.0, 5.0, 10.0, 50.0])[:, None]
+    lone = X[:1] + (X.min(axis=0) == X.max(axis=0))
+    edge = np.array([[1.7e308], [-1.7e308]]).repeat(X.shape[1], axis=1)
     return np.concatenate([X.max(axis=0) + steps * h,
-                           X.min(axis=0) - steps * h])
+                           X.min(axis=0) - steps * h, lone, edge])
 
 
 def test_kernel_sums_match_per_centre_formula():
@@ -334,7 +339,10 @@ def test_kernel_sums_match_per_centre_formula():
     points = np.concatenate([_heavy_duplicate_rows(3000)[::-1][:700] + 0.25,
                              _far_points(X, taus)])
     direct = _direct_kernel_sums(X.T, taus, points)
-    assert (direct[-1] == 0.0).all()  # 50 h out every kernel underflows
+    # every kernel is 0 at 50 h out, on the constant column 1.0 out and at
+    # +-1.7e308; atol=0 below holds those sums to an exact 0
+    assert (direct[-4] == 0.0).all() and direct[-3, -1] == 0.0
+    assert (direct[-2:] == 0.0).all() and (direct[-3, :-1] > 0.0).all()
     assert np.allclose(adifa._kernel_sums(table, points), direct,
                        rtol=1e-13, atol=0.0)
     # the meta KDE layout: one column of m values
@@ -393,8 +401,7 @@ def _expansion_rows(m):
 
 
 def _expansion_points(X, taus):
-    """New rows near the data, rows 0.5 h to 50 h beyond it, and two at
-    +-1e300."""
+    """New rows near the data, `_far_points`, and two rows at +-1e300."""
     near = _heavy_duplicate_rows(3000)[::-1][:700] + 0.25
     huge = np.full((2, X.shape[1]), 1e300) * np.array([[1.0], [-1.0]])
     return np.concatenate([near, _far_points(X, taus), huge])
@@ -406,8 +413,8 @@ def _assert_expanded_matches_exact(table, points, own=None):
     assert np.allclose(fast, exact, rtol=1e-10, atol=0.0)
     assert (fast[exact == 0.0] == 0.0).all()  # every exact 0 stays 0
     e = table.expansion
-    kept = adifa._hermite_sums(
-        e, table.reached(points, (slice(None), e.cols)), own is not None)[1]
+    sums, kept = adifa._hermite_sums(e, points[:, e.cols], own is not None)
+    assert not kept[np.isnan(sums)].any()  # no overflowed (NaN) cell is kept
     return kept
 
 
@@ -419,10 +426,13 @@ def test_expanded_kernel_sums_match_exact():
     # leave-one-out layout: the expansion keeps all but the isolated point
     kept = _assert_expanded_matches_exact(table, X, own)
     assert not kept[-1, 0] and kept.mean() > 0.99
-    # scoring layout: targets near, 0.5-50 h out and at +-1e300
+    # scoring layout: targets near, far out, at +-1.7e308 and at +-1e300
     points = _expansion_points(X, taus)
     kept = _assert_expanded_matches_exact(table, points)
-    assert kept[:700].mean() > 0.95 and not kept[-2:].any()
+    assert kept[:700].mean() > 0.95 and not kept[-4:].any()
+    # +-1.7e308 overflows t in every box: NaN sums, left to the exact path
+    assert np.isnan(adifa._hermite_sums(
+        table.expansion, points[-4:-2, :5], False)[0]).all()
     # the meta KDE layout, one column of m values, with and without own
     s = X[:, 1:2]
     meta = adifa._KernelTable([np.sort(s[:, 0])], taus[1:2])
@@ -449,8 +459,10 @@ def test_score_batch_matches_classify_on_expanded_model():
     model = train(make_dataset(X), psi="gm")
     assert model._kernels.expansion is not None
     table_taus = [am.tau for am in model.attributes]
-    points = _expansion_points(X, table_taus)[::7]
+    points = _expansion_points(X, table_taus)
+    points = np.concatenate([points[:700:7], points[700:]])  # every far row
     scores, likelihoods, _ = score_batch(model, points)
+    assert (scores[-4:] == 0.0).all()  # +-1.7e308 and +-1e300: every d is 0
     batch = adifa.classify_batch(model, points)
     for i, x in enumerate(points):
         result = classify(model, x)

@@ -268,6 +268,35 @@ def _labels_unknown(ws):
             "--labels", str(ws / "typo.csv")]
 
 
+def _labels_twice(ws):
+    """A labels file that lists its first row id again, with the other
+    label."""
+    _pipeline(ws, count=10)
+    text = (ws / "injected" / "labels.csv").read_text(encoding="utf-8")
+    rid, label = text.splitlines()[1].split(",")
+    other = "normal" if label == "anomalous" else "anomalous"
+    (ws / "twice.csv").write_text(text + f"{rid},{other}\n", encoding="utf-8")
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
+            "--labels", str(ws / "twice.csv")]
+
+
+def _inject_repeated_name(ws):
+    """A manifest of a/doc0.xml, b/doc0.xml and a/doc1.xml: two documents
+    that `inject` would write to one file and label under one row id."""
+    _pipeline(ws, count=10)
+    lines = []
+    for i, rel in enumerate(["a/doc0.xml", "b/doc0.xml", "a/doc1.xml"]):
+        (ws / rel).parent.mkdir(exist_ok=True)
+        (ws / rel).write_bytes((ws / "normal" / f"doc{i}.xml").read_bytes())
+        lines.append(str(ws / rel))
+    (ws / "manifest.txt").write_text("\n".join(lines) + "\n",
+                                     encoding="utf-8")
+    return ["inject", "--schema", str(ws / "s.xadschema"),
+            "--in", str(ws / "manifest.txt"), "--out", str(ws / "x"),
+            "--anomaly-index", "0.2", "--fraction", "0.5"]
+
+
 def _with_nan(dataset: Path, out: Path) -> Path:
     """A copy of a flattened dataset with its fourth row's first cell nan."""
     with open(dataset, newline="") as fh:
@@ -446,6 +475,8 @@ _DATA_ERRORS = {
         ws, '{"Transaction/Amounts/Amount0": {"kind": "numeric", "mean": 1}}'),
     "params-not-json": lambda ws: _gen_corpus_params(ws, "mean: 1.0"),
     "flatten-unknown-label": _labels_unknown,
+    "flatten-label-twice": _labels_twice,
+    "inject-repeated-name": _inject_repeated_name,
     "model-null-array": lambda ws: _edited_model(
         ws, "pga", lambda b: b.update(training_points=None)),
     "model-rank2-lrd": lambda ws: _edited_model(
@@ -473,8 +504,9 @@ def test_data_error_exit_2(workspace, capsys, case):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("xmlad:") and "Traceback" not in err
-    if "-o" in argv:  # a data error leaves no output file
-        assert not Path(argv[argv.index("-o") + 1]).exists()
+    for flag in ("-o", "--out"):  # a data error leaves no output file
+        if flag in argv:
+            assert not Path(argv[argv.index(flag) + 1]).exists()
 
 
 def test_extract_flags_nan_amount(workspace):

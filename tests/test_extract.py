@@ -41,13 +41,22 @@ def test_measure_date_epoch():
                           ("1999-12-05:00", 944006400.0 + 18000.0)]:
         assert measure_occurrence(text, DATE).values == (seconds,)
     assert measure_occurrence("1999-13", DATE).failed
+    # any number of fractional-second digits, cut to microseconds
+    for text, seconds in [("2024-01-05T10:00:00.5Z", 1704448800.5),
+                          ("2024-01-05T10:00:00.25Z", 1704448800.25),
+                          ("2024-01-05T10:00:00.123456789Z", 1704448800.123456),
+                          ("10:00:00.5", 36000.5), ("10:00:00.25", 36000.25),
+                          ("10:00:00.123456789", 36000.123456)]:
+        assert measure_occurrence(text, DATE).values == (seconds,)
 
 
 def test_unparseable_values_flagged_not_dropped():
-    # a non-finite number is no value to measure either
+    # a non-finite number is no value to measure either, nor is a text
+    # outside the XSD lexical space that float() reads
     for text, desc in [("not-a-number", NUM), ("D", ENUM),
                        ("yesterday", DATE), ("NaN", NUM), ("-INF", NUM),
-                       ("Infinity", NUM), ("1e400", NUM)]:
+                       ("Infinity", NUM), ("1e400", NUM), ("1_000", NUM),
+                       ("\uff11\uff12\uff13", NUM)]:
         mv = measure_occurrence(text, desc)
         assert mv.failed
         assert mv.values == ()

@@ -20,6 +20,26 @@ def _doc(amount="1", py="A", name="one two"):
             f"<PyValue>{py}</PyValue><Name>{name}</Name></Payment>")
 
 
+def test_boolean_digits_count_as_literals():
+    # xs:boolean's lexical space is true, false, 1 and 0
+    schema = parse_xsd("""<?xml version="1.0"?>
+    <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+      <xsd:element name="T"><xsd:complexType><xsd:sequence>
+        <xsd:element name="Flag" type="xsd:boolean" maxOccurs="unbounded"/>
+      </xsd:sequence></xsd:complexType></xsd:element>
+    </xsd:schema>""")
+    doc = "<T><Flag>1</Flag><Flag> true </Flag><Flag>0</Flag></T>"
+    fm = _matrix([doc, "<T><Flag>1</Flag><Flag>yes</Flag></T>"], schema)
+    dic = build_dictionary(fm, schema, k=0)
+    names, _ = column_plan(schema, dic)
+    rows = [dict(zip(names, flatten_row(r, schema, dic))) for r in fm.rows]
+    assert rows == [
+        {"T/Flag#sum[false]": 1.0, "T/Flag#sum[true]": 2.0,
+         "parse_failures#count": 0.0},
+        {"T/Flag#sum[false]": 0.0, "T/Flag#sum[true]": 1.0,
+         "parse_failures#count": 1.0}]
+
+
 def test_tokenize():
     assert tokenize("Hello, world!  HELLO") == ["hello", "world", "hello"]
     assert tokenize("...") == []

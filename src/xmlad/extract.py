@@ -56,6 +56,8 @@ class FeatureMatrix:
 
 
 _G_YEAR_MONTH = re.compile(r"(\d{4})(-\d{2})?([+-]\d{2}:\d{2})?")
+_FRACTION = re.compile(r"(?<=:\d\d)\.(\d+)")
+_FAILED = MeasurementVector((), failed=True)
 
 
 def _parse_epoch_seconds(text: str) -> float:
@@ -68,8 +70,8 @@ def _parse_epoch_seconds(text: str) -> float:
         t = f"{year}{month or '-01'}-01T00:00{zone or ''}"
     # a second's fraction to 6 digits: Python 3.10 reads only 3 or 6, and
     # 3.11 cuts longer ones to 6
-    t = re.sub(r"(?<=:\d\d)\.(\d+)",
-               lambda f: "." + f[1][:6].ljust(6, "0"), t, count=1)
+    if "." in t:
+        t = _FRACTION.sub(lambda f: "." + f[1][:6].ljust(6, "0"), t, count=1)
     try:
         dt = datetime.fromisoformat(t)
     except ValueError:
@@ -85,6 +87,37 @@ def _parse_epoch_seconds(text: str) -> float:
     return dt.timestamp()
 
 
+def _number(text: str) -> float:
+    t = text.strip()
+    return float(t) if t.isascii() and "_" not in t else math.nan
+
+
+def _measurer(descriptor: ElementDescriptor):
+    """The function that measures an occurrence's text per the
+    descriptor's abstract type; an enumeration looks its literal up."""
+    at = descriptor.abstract_type
+    if at is AbstractType.STRING:
+        return lambda text: MeasurementVector(
+            (float(len(text.split())), float(len(text))), raw_text=text)
+    if at is AbstractType.ENUMERATION:
+        literals = {}
+        for i, value in enumerate(descriptor.enum_values):
+            literals.setdefault(value, MeasurementVector((float(i),)))
+        if descriptor.enum_values == BOOLEAN_ENUM_VALUES:
+            literals["0"], literals["1"] = literals["false"], literals["true"]
+        return lambda text: literals.get(text.strip(), _FAILED)
+    parse = _number if at is AbstractType.NUMERICAL else _parse_epoch_seconds
+
+    def measure(text: str) -> MeasurementVector:
+        try:
+            value = parse(text)
+        except ValueError:
+            return _FAILED
+        # unparseable, or NaN, inf or 1e400
+        return MeasurementVector((value,)) if math.isfinite(value) else _FAILED
+    return measure
+
+
 def measure_occurrence(text_value: str, descriptor: ElementDescriptor) -> MeasurementVector:
     """Measure one occurrence per the descriptor's abstract type.
 
@@ -94,73 +127,76 @@ def measure_occurrence(text_value: str, descriptor: ElementDescriptor) -> Measur
     reads with a finite value are those xs:decimal and xs:double admit.
     xs:boolean's `1` and `0` are its literals `true` and `false`.
     """
-    text = text_value if text_value is not None else ""
-    at = descriptor.abstract_type
-    if at is AbstractType.STRING:
-        return MeasurementVector((float(len(text.split())), float(len(text))),
-                                 raw_text=text)
-    t = text.strip()
-    try:
-        if at is AbstractType.NUMERICAL:
-            value = float(t) if t.isascii() and "_" not in t else math.nan
-        elif at is AbstractType.DATE:
-            value = _parse_epoch_seconds(text)
-        else:
-            if descriptor.enum_values == BOOLEAN_ENUM_VALUES:
-                t = {"0": "false", "1": "true"}.get(t, t)
-            value = float(descriptor.enum_values.index(t))
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):  # unparseable, or NaN, inf or 1e400
-        return MeasurementVector((), failed=True)
-    return MeasurementVector((value,))
+    return _measurer(descriptor)(text_value if text_value is not None else "")
+
+
+# MeasurementVector.values per abstract type but Enumeration (its literal's
+# index), named as flatten's column suffixes
+SLOTS = {AbstractType.NUMERICAL: ("",), AbstractType.DATE: ("",),
+         AbstractType.STRING: ("_words", "_chars")}
+
+
+class IngestPlan:
+    """How `extract_row` walks a schema's documents and `flatten_row` lays
+    out their rows.  In the trie `root`, a node maps a child element's local
+    name or an attribute's `@name` to its node, and None to (index, measure)
+    of its path's descriptor, the last if repeated.  `layout` holds each
+    one's literal count (None if no enumeration), slot count and is-String."""
+
+    def __init__(self, descriptors):
+        self.root = {}
+        self.layout = []
+        for i, desc in enumerate(descriptors):
+            node = self.root
+            for name in desc.path.split("/"):
+                node = node.setdefault(name, {})
+            node[None] = (i, _measurer(desc))
+            at = desc.abstract_type
+            self.layout.append((
+                len(desc.enum_values) if at is AbstractType.ENUMERATION
+                else None, len(SLOTS.get(at, ())), at is AbstractType.STRING))
 
 
 def _local(tag: str) -> str:
-    return tag.split("}")[-1]
+    return tag.rpartition("}")[2]
 
 
 def own_text(elem) -> str:
-    """Direct character data of an element: its text plus child tails.
-
-    For a leaf this is just the text; for mixed content the interleaved
-    runs are concatenated.
-    """
-    parts = [elem.text or ""]
-    parts.extend(child.tail or "" for child in elem)
-    return "".join(parts)
+    """Direct character data of an element: its text plus child tails,
+    the interleaved runs of mixed content concatenated."""
+    return (elem.text or "") + "".join([child.tail or "" for child in elem])
 
 
 def extract_row(xml_text: str, schema: SchemaVector) -> ExtractedRow:
-    """Extract one transaction row; occurrences collected in document order."""
+    """Extract one transaction row; occurrences collected in document order.
+    An element off the schema's paths adds its subtree's leaves to the
+    unknown count, and so does an empty container of the schema."""
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         raise MalformedXml(f"unparseable XML: {exc}")
-    index = {d.path: i for i, d in enumerate(schema.descriptors)}
     features = [[] for _ in schema.descriptors]
     unknown = 0
-
-    def walk(elem, prefix):
-        nonlocal unknown
-        path = f"{prefix}/{_local(elem.tag)}" if prefix else _local(elem.tag)
-        children = list(elem)
-        idx = index.get(path)
-        if idx is not None:
-            mv = measure_occurrence(own_text(elem), schema.descriptors[idx])
-            features[idx].append(mv)
+    stack = [(root, schema.ingest_plan.root)]
+    while stack:
+        elem, parent = stack.pop()
+        node = parent.get(_local(elem.tag))
+        if node is None:
+            unknown += sum(1 for e in elem.iter() if not len(e))
+            continue
+        children = len(elem)
+        hit = node.get(None)
+        if hit is not None:
+            text = own_text(elem) if children else elem.text or ""
+            features[hit[0]].append(hit[1](text))
         elif not children:
             unknown += 1
-        for name, value in elem.attrib.items():
-            apath = f"{path}/@{_local(name)}"
-            aidx = index.get(apath)
-            if aidx is not None:
-                mv = measure_occurrence(value, schema.descriptors[aidx])
-                features[aidx].append(mv)
-        for child in children:
-            walk(child, path)
-
-    walk(root, "")
+        for name, value in elem.items():
+            hit = node.get("@" + _local(name), {}).get(None)
+            if hit is not None:
+                features[hit[0]].append(hit[1](value))
+        if children:  # popped in document order
+            stack.extend([(child, node) for child in reversed(elem)])
     return ExtractedRow(features=features, unknown_elements=unknown)
 
 

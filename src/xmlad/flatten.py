@@ -10,13 +10,13 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import persist
 from .errors import CorruptFile, SchemaMismatch
-from .extract import FeatureMatrix
+from .extract import SLOTS, FeatureMatrix
 from .schema import AbstractType, SchemaVector
 
 DEFAULT_TFIDF_K = 10
@@ -27,12 +27,8 @@ _STRIP_CHARS = string.punctuation
 
 def tokenize(text: str):
     """Lowercased whitespace tokens with punctuation trimmed from the ends."""
-    tokens = []
-    for raw in text.lower().split():
-        tok = raw.strip(_STRIP_CHARS)
-        if tok:
-            tokens.append(tok)
-    return tokens
+    return [tok for raw in text.lower().split()
+            if (tok := raw.strip(_STRIP_CHARS))]
 
 
 def smoothed_idf(corpus_size: int, doc_frequency: int) -> float:
@@ -51,12 +47,14 @@ class TfIdfDictionary:
             raise ValueError(f"{len(self.terms)} terms but "
                              f"{len(self.doc_frequency)} document frequencies")
 
+    @cached_property
+    def _frequency(self) -> dict:
+        # term -> document frequency; a repeated term keeps its first, as
+        # tuple.index would
+        return dict(zip(reversed(self.terms), reversed(self.doc_frequency)))
+
     def idf(self, term: str) -> float:
-        try:
-            df = self.doc_frequency[self.terms.index(term)]
-        except ValueError:
-            df = 0
-        return smoothed_idf(self.corpus_size, df)
+        return smoothed_idf(self.corpus_size, self._frequency.get(term, 0))
 
     def save(self, path):
         persist.write(path, "dict", self)
@@ -127,15 +125,11 @@ def _meta_from_name(name: str):
     return (path, kind)
 
 
-def _row_tokens(row, schema: SchemaVector) -> Counter:
-    counts = Counter()
-    for cf, desc in zip(row, schema.descriptors):
-        if desc.abstract_type is not AbstractType.STRING:
-            continue
-        for mv in cf:
-            if mv.raw_text:
-                counts.update(tokenize(mv.raw_text))
-    return counts
+def _token_counts(texts) -> Counter:
+    """Token counts of a row's String texts, None skipped.  Tokenizing them
+    joined by spaces gives each one's tokens: split() breaks at a space, and
+    lower()'s one contextual rule (final sigma) stops there as at an end."""
+    return Counter(tokenize(" ".join(filter(None, texts))))
 
 
 def _check_schema(matrix: FeatureMatrix, schema: SchemaVector) -> None:
@@ -153,8 +147,10 @@ def build_dictionary(matrix: FeatureMatrix, schema: SchemaVector,
     m = len(matrix.rows)
     df = Counter()
     total_tf = Counter()
+    layout = schema.ingest_plan.layout
     for row in matrix.rows:
-        counts = _row_tokens(row, schema)
+        counts = _token_counts(mv.raw_text for cf, (_, _, string)
+                               in zip(row, layout) if string for mv in cf)
         df.update(counts.keys())
         total_tf.update(counts)
     scored = sorted(
@@ -175,21 +171,14 @@ def tfidf(term: str, row_tokens: Counter, dictionary: TfIdfDictionary) -> float:
     return tf * dictionary.idf(term)
 
 
-# the value slots per abstract type, in MeasurementVector.values order: a
-# slot s gives a min<s> and a max<s> column over the valid occurrences,
-# then the element gets a count column; an enumeration instead gets one
-# sum[v] column per literal v
-_SLOTS = {
-    AbstractType.NUMERICAL: ("",),
-    AbstractType.DATE: ("",),
-    AbstractType.STRING: ("_words", "_chars"),
-}
-
-
 def _aggregates(desc):
+    """An element's column kinds: a slot s (`extract.SLOTS`) gives a min<s>
+    and a max<s> column over the valid occurrences, then the element gets
+    a count column; an enumeration instead gets one sum[v] column per
+    literal v."""
     if desc.abstract_type is AbstractType.ENUMERATION:
         return [f"sum[{value}]" for value in desc.enum_values]
-    return [f"{bound}{slot}" for slot in _SLOTS[desc.abstract_type]
+    return [f"{bound}{slot}" for slot in SLOTS[desc.abstract_type]
             for bound in ("min", "max")] + ["count"]
 
 
@@ -208,29 +197,37 @@ def expected_width(schema: SchemaVector, k_selected: int) -> int:
 
 def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
     """Flatten one transaction row into a numeric vector (schema order)."""
-    if len(row) != len(schema.descriptors):
+    layout = schema.ingest_plan.layout
+    if len(row) != len(layout):
         raise SchemaMismatch(
             f"row has {len(row)} complex features, schema defines "
-            f"{len(schema.descriptors)}")
+            f"{len(layout)}")
     out = []
     failures = 0
-    for cf, desc in zip(row, schema.descriptors):
+    texts = []
+    for cf, (literals, slots, string) in zip(row, layout):
         valid = [mv.values for mv in cf if not mv.failed]
         failures += len(cf) - len(valid)
-        if desc.abstract_type is AbstractType.ENUMERATION:
-            counts = [0.0] * len(desc.enum_values)
+        if literals is not None:
+            counts = [0.0] * literals
             for values in valid:
                 counts[int(values[0])] += 1.0
             out.extend(counts)
             continue
-        for i in range(len(_SLOTS[desc.abstract_type])):
-            slot = [values[i] for values in valid]
-            out.extend((min(slot), max(slot)) if slot else (0.0, 0.0))
+        if len(valid) == 1:  # most elements occur once: min = max
+            (values,) = valid
+            for i in range(slots):
+                out.extend((values[i], values[i]))
+        else:
+            for i in range(slots):
+                slot = [values[i] for values in valid]
+                out.extend((min(slot), max(slot)) if slot else (0.0, 0.0))
         out.append(float(len(cf)))
+        if string:
+            texts += [mv.raw_text for mv in cf]
     out.append(float(failures))
-    tokens = _row_tokens(row, schema)
-    for term in dictionary.terms:
-        out.append(tfidf(term, tokens, dictionary))
+    counts = _token_counts(texts)
+    out += [tfidf(term, counts, dictionary) for term in dictionary.terms]
     return out
 
 

@@ -10,7 +10,7 @@ import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 from . import persist
 from .errors import MalformedSchema
@@ -75,6 +75,13 @@ class SchemaVector:
 
     def paths(self):
         return [d.path for d in self.descriptors]
+
+    @cached_property
+    def ingest_plan(self):
+        """The `extract.IngestPlan` of these descriptors, built on first
+        use: no field, so neither saved nor compared."""
+        from .extract import IngestPlan  # extract imports this module
+        return IngestPlan(self.descriptors)
 
     def save(self, path) -> None:
         persist.write(path, "schema", self)

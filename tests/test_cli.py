@@ -13,6 +13,7 @@ from conftest import PAYMENT_XSD, container, make_dataset
 import xmlad
 from xmlad import persist
 from xmlad.cli import run
+from xmlad.extract import FeatureMatrix
 from xmlad.flatten import FlatDataset
 from xmlad.model_io import ALGORITHMS, load_model
 from xmlad.synth import demo_schema_xsd
@@ -519,6 +520,21 @@ def test_extract_flags_nan_amount(workspace):
     ds = FlatDataset.from_csv(dataset)
     failures = ds.rows[:, ds.column_names.index("parse_failures#count")]
     assert failures.tolist() == [1.0] + [0.0] * 9
+
+
+def test_extract_deeply_nested_document(tmp_path):
+    (tmp_path / "s.xsd").write_text(PAYMENT_XSD, encoding="utf-8")
+    schema = tmp_path / "s.xadschema"
+    assert run(["schema-parse", str(tmp_path / "s.xsd"),
+                "-o", str(schema)]) == 0
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "deep.xml").write_text(
+        "<Payment>" + "<X>" * 3000 + "</X>" * 3000 + "</Payment>",
+        encoding="utf-8")
+    fm = tmp_path / "fm.xadfm"
+    assert run(["extract", str(tmp_path / "corpus"), "--schema", str(schema),
+                "-o", str(fm)]) == 0
+    assert FeatureMatrix.load(fm).unknown_counts == [1]
 
 
 @pytest.mark.parametrize("algo", ["adifa", "pga", "gde", "lof"])

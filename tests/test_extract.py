@@ -1,9 +1,10 @@
 import pytest
 
 from xmlad.errors import EmptyCorpus, MalformedXml
-from xmlad.extract import (FeatureMatrix, build_feature_matrix, extract_row,
+from xmlad.extract import (ExtractedRow, FeatureMatrix, MeasurementVector,
+                           build_feature_matrix, extract_row,
                            measure_occurrence)
-from xmlad.schema import AbstractType, ElementDescriptor
+from xmlad.schema import AbstractType, ElementDescriptor, parse_xsd
 
 NUM = ElementDescriptor("X/N", "N", AbstractType.NUMERICAL)
 ENUM = ElementDescriptor("X/E", "E", AbstractType.ENUMERATION,
@@ -27,6 +28,10 @@ def test_measure_string_words_and_chars():
 def test_measure_enumeration_index():
     mv = measure_occurrence("B", ENUM)
     assert mv.values == (1.0,)
+    # a repeated literal measures as its first, as tuple.index gives it
+    twice = ElementDescriptor("X/T", "T", AbstractType.ENUMERATION,
+                              enum_values=("A", "B", "A"))
+    assert measure_occurrence("A", twice).values == (0.0,)
 
 
 def test_measure_date_epoch():
@@ -97,6 +102,80 @@ def test_mixed_content_concatenates_text(payment_schema):
     mv = row.features[2][0]
     assert mv.raw_text == "one two"
     assert mv.values == (2.0, 7.0)
+
+
+def test_deeply_nested_document_is_one_unknown_leaf(payment_schema):
+    doc = "<Payment>" + "<X>" * 3000 + "</X>" * 3000 + "</Payment>"
+    row = extract_row(doc, payment_schema)
+    assert row == ExtractedRow(features=[[], [], []], unknown_elements=1)
+
+
+# Doc/Qty is a decimal with an xs:boolean attribute, Doc/Box a container
+# with a child and an attribute, and Doc/@unit an attribute of the root
+DOC_XSD = """<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="Doc"><xsd:complexType>
+    <xsd:sequence>
+      <xsd:element name="Qty" maxOccurs="unbounded"><xsd:complexType>
+        <xsd:simpleContent><xsd:extension base="xsd:decimal">
+          <xsd:attribute name="ok" type="xsd:boolean"/>
+        </xsd:extension></xsd:simpleContent>
+      </xsd:complexType></xsd:element>
+      <xsd:element name="Box" minOccurs="0"><xsd:complexType>
+        <xsd:sequence>
+          <xsd:element name="Tag" type="xsd:string" minOccurs="0"/>
+        </xsd:sequence>
+        <xsd:attribute name="id" type="xsd:int"/>
+      </xsd:complexType></xsd:element>
+    </xsd:sequence>
+    <xsd:attribute name="unit" type="xsd:string"/>
+  </xsd:complexType></xsd:element>
+</xsd:schema>
+"""
+
+
+@pytest.fixture(scope="module")
+def doc_schema():
+    schema = parse_xsd(DOC_XSD)
+    assert schema.paths() == ["Doc/Qty", "Doc/Qty/@ok", "Doc/Box/Tag",
+                              "Doc/Box/@id", "Doc/@unit"]
+    return schema
+
+
+def _mv(*values, text=None):
+    return MeasurementVector(tuple(map(float, values)), raw_text=text)
+
+
+def test_attributes_and_repeats_in_document_order(doc_schema):
+    # xs:boolean's 1 and 0 are its literals, attributes the schema lacks
+    # are dropped, and the empty Box container is one unknown leaf
+    doc = ('<Doc unit="kg" x="1"><Qty ok="1">2</Qty><Qty ok="0" y="z">3.5'
+           '</Qty><Box id="7"/><Qty ok="true">4</Qty></Doc>')
+    assert extract_row(doc, doc_schema) == ExtractedRow(
+        features=[[_mv(2), _mv(3.5), _mv(4)], [_mv(1), _mv(0), _mv(1)], [],
+                  [_mv(7)], [_mv(1, 2, text="kg")]],
+        unknown_elements=1)
+
+
+def test_unknown_subtree_counts_each_leaf(doc_schema):
+    doc = ("<Doc><Extra><A>1</A><B><C/><D>x</D></B></Extra><Qty>1</Qty>"
+           "<Box><Tag>t</Tag><Odd/></Box></Doc>")
+    assert extract_row(doc, doc_schema) == ExtractedRow(
+        features=[[_mv(1)], [], [_mv(1, 1, text="t")], [], []],
+        unknown_elements=4)
+    nothing = [[], [], [], [], []]
+    assert extract_row("<Doc/>", doc_schema) == ExtractedRow(nothing, 1)
+    assert extract_row("<Other><Qty>1</Qty></Other>",
+                       doc_schema) == ExtractedRow(nothing, 1)
+
+
+@pytest.mark.parametrize("doc", [
+    '<Doc xmlns="urn:x" unit="m"><Qty ok="1">5</Qty></Doc>',
+    '<p:Doc xmlns:p="urn:x" p:unit="m"><p:Qty p:ok="1">5</p:Qty></p:Doc>'])
+def test_namespaced_names_match_by_local_name(doc_schema, doc):
+    assert extract_row(doc, doc_schema) == ExtractedRow(
+        features=[[_mv(5)], [_mv(1)], [], [], [_mv(1, 1, text="m")]],
+        unknown_elements=0)
 
 
 def test_malformed_document_raises(payment_schema):

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from xmlad import flatten
 from xmlad.errors import SchemaMismatch
 from xmlad.extract import build_feature_matrix
 from xmlad.flatten import (FlatDataset, TfIdfDictionary, build_dictionary,
@@ -40,9 +42,25 @@ def test_boolean_digits_count_as_literals():
          "parse_failures#count": 1.0}]
 
 
+def test_idf_of_a_repeated_term_is_its_first():
+    dic = TfIdfDictionary(terms=("a", "b", "a"), doc_frequency=(1, 2, 3),
+                          corpus_size=4, k=3)
+    assert dic.idf("a") == smoothed_idf(4, 1)
+    assert dic.idf("zzz") == smoothed_idf(4, 0)
+
+
 def test_tokenize():
     assert tokenize("Hello, world!  HELLO") == ["hello", "world", "hello"]
     assert tokenize("...") == []
+
+
+def test_row_tokens_are_each_texts_tokens():
+    # flatten tokenizes a row's String texts joined by spaces; that gives
+    # what tokenizing each text alone gives, final sigmas included
+    texts = ["ΟΔΟΣ", "Σa", None, "", "x.Σ", "ΣΣ. Σ!", "aΣ\u0301", "-Σ"]
+    each = Counter(tok for text in texts if text for tok in tokenize(text))
+    assert flatten._token_counts(texts) == each
+    assert each["οδος"] == 1  # a final sigma at the end of its text
 
 
 def test_smoothed_idf_identities():

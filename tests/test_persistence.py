@@ -5,15 +5,17 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import container, make_dataset, score_and_label
+from conftest import PAYMENT_XSD, container, make_dataset, score_and_label
 from xmlad import adifa, persist
 from xmlad.baselines import gde_train, lof_train, pga_train
 from xmlad.errors import CorruptFile, NonFiniteData, VersionMismatch
-from xmlad.extract import FeatureMatrix, MeasurementVector
-from xmlad.flatten import TfIdfDictionary
+from xmlad.extract import (FeatureMatrix, MeasurementVector,
+                           build_feature_matrix, extract_row)
+from xmlad.flatten import TfIdfDictionary, build_dictionary, flatten_row
 from xmlad.inject import InjectionRecord, records_from_text, records_to_text
 from xmlad.model_io import load_model, save_model
-from xmlad.schema import AbstractType, ElementDescriptor, SchemaVector
+from xmlad.schema import (AbstractType, ElementDescriptor, SchemaVector,
+                          parse_xsd)
 
 
 def test_container_round_trip():
@@ -228,6 +230,29 @@ def test_artifact_body_pinned_and_round_trips(tmp_path, kind):
     assert loaded == value
     save(loaded, tmp_path / "b")
     assert (tmp_path / "b").read_bytes() == path.read_bytes()
+
+
+def test_ingest_plans_are_not_state(tmp_path):
+    # the plans extract and flatten cache on a schema and a dictionary are
+    # neither saved nor compared
+    docs = [f"<Payment><PaymentAmount>{i}</PaymentAmount><PyValue>A"
+            f"</PyValue><Name>pay {i} now</Name></Payment>" for i in range(4)]
+    schema = parse_xsd(PAYMENT_XSD)
+    schema.save(tmp_path / "s")
+    build_dictionary(build_feature_matrix(docs, schema),
+                     schema).save(tmp_path / "d")
+    used, fresh = (SchemaVector.load(tmp_path / "s") for _ in range(2))
+    used_dict, fresh_dict = (TfIdfDictionary.load(tmp_path / "d")
+                             for _ in range(2))
+    x = flatten_row(extract_row(docs[0], used).features, used, used_dict)
+    assert "ingest_plan" in vars(used) and "_frequency" in vars(used_dict)
+    assert used == fresh and used_dict == fresh_dict
+    used.save(tmp_path / "s2")
+    used_dict.save(tmp_path / "d2")
+    assert (tmp_path / "s2").read_bytes() == (tmp_path / "s").read_bytes()
+    assert (tmp_path / "d2").read_bytes() == (tmp_path / "d").read_bytes()
+    assert flatten_row(extract_row(docs[0], fresh).features, fresh,
+                       fresh_dict) == x
 
 
 def test_load_model_rejects_garbage(tmp_path):

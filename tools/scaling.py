@@ -1,4 +1,4 @@
-"""Scaling record of ADIFA's `train` and `score_batch`, and of a
+"""Scaling record of ingest, of ADIFA's `train` and `score_batch`, and of a
 four-algorithm `xmlad evaluate`, as a BENCH_<n>.json.
 
     PYTHONPATH=<checkout>/src python3 tools/scaling.py --label TEXT \
@@ -6,7 +6,11 @@ four-algorithm `xmlad evaluate`, as a BENCH_<n>.json.
 
 Times `adifa.train` (psi gm, in s) and `adifa.score_batch` (in ms per row,
 over 500 held-out documents) on the demo corpus of
-`synth.generate_normal_corpus(seed=11)` at each size.  At each size it also
+`synth.generate_normal_corpus(seed=11)` at each size.  Ingest is timed
+through the CLI too: `extract` of that corpus from a directory of .xml
+files and `flatten` of its feature matrix, building the dictionary; and
+per document, `extract_row` + `flatten_row` of 1,000 held-out documents
+(seed 12) against that schema and dictionary, in µs.  At each size it also
 times `cli.run(["--seed", "1", "evaluate", "--algos",
 "adifa-gm,pga,gde,lof", ...])` on that corpus with half of its documents
 injected by `inject.make_anomalous_corpus` (anomaly index 0.05, every
@@ -36,11 +40,12 @@ import scipy
 from xmlad import adifa, cli, extract, flatten, inject, synth
 # imported before any timing, so that no timed run loads scipy.stats
 from xmlad import evaluate  # noqa: F401
-from xmlad.schema import parse_xsd
+from xmlad.schema import SchemaVector, parse_xsd
 
 CORPUS_SEED = 11
 HELDOUT_SEED = 12
 HELDOUT = 500
+INGEST_DOCS = 1000
 CONTROL_M = 2000
 INJECT_SEED = 13
 EVAL_ALGOS = "adifa-gm,pga,gde,lof"
@@ -85,6 +90,39 @@ def labelled_csv(m, path):
                            labels=list(labels)).to_csv(path)
 
 
+def ingest(m, repeats, work):
+    """Best times of CLI `extract` and `flatten` on the m documents of
+    `demo_data`, and of one document's `extract_row` + `flatten_row`."""
+    schema = parse_xsd(synth.demo_schema_xsd())
+    params = synth.demo_params(schema, seed=0)
+    work.mkdir()
+    (work / "corpus").mkdir()
+    for i, doc in enumerate(synth.generate_normal_corpus(
+            schema, params, m, seed=CORPUS_SEED)):
+        (work / "corpus" / f"{i:06d}.xml").write_text(doc, encoding="utf-8")
+    schema.save(work / "s.xadschema")
+    s, fm, d = (str(work / name)
+                for name in ("s.xadschema", "fm.xadfm", "d.xaddict"))
+    runs = {"extract": ["extract", str(work / "corpus"), "--schema", s,
+                        "-o", fm],
+            "flatten": ["flatten", fm, "--schema", s, "--dict-out", d,
+                        "-o", str(work / "data.csv")]}
+    out = {}
+    for name, argv in runs.items():
+        out[f"{name}_s"], rc = best_of(repeats, lambda: cli.run(argv))
+        if rc != 0:
+            raise SystemExit(f"{name} at m = {m} exited {rc}")
+    # loaded from their files, as a detector loads them
+    loaded, dictionary = SchemaVector.load(s), flatten.TfIdfDictionary.load(d)
+    held = synth.generate_normal_corpus(schema, params, INGEST_DOCS,
+                                        seed=HELDOUT_SEED)
+    per_doc_s, _ = best_of(repeats, lambda: [flatten.flatten_row(
+        extract.extract_row(doc, loaded).features, loaded, dictionary)
+        for doc in held])
+    out["ingest_us_per_doc"] = 1e6 * per_doc_s / len(held)
+    return out
+
+
 def evaluate_s(m, repeats, work):
     """Best time of `xmlad --seed 1 evaluate` on the labelled corpus."""
     labelled_csv(m, work / "labelled.csv")
@@ -112,6 +150,7 @@ def demo_sizes(sizes):
                                                    for c in data.rows.T)),
                         "repeats": repeats, "train_s": train_s,
                         "score_batch_ms_per_row": 1e3 * score_s / len(held),
+                        **ingest(m, repeats, Path(work) / f"ingest{m}"),
                         "evaluate_algos": EVAL_ALGOS,
                         "evaluate_s": evaluate_s(m, repeats, Path(work))})
             print(json.dumps(out[-1]), file=sys.stderr)

@@ -53,7 +53,13 @@ def _load_corpus(source: str):
     repeated = [name for name, n in Counter(ids).items() if n > 1]
     if repeated:
         raise CorruptFile(f"{source}: two documents are named {repeated[0]!r}")
-    return [f.read_text(encoding="utf-8") for f in files], ids
+    documents = []
+    for f in files:
+        try:
+            documents.append(f.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"{f}: {exc}") from None
+    return documents, ids
 
 
 def _write_corpus(directory: str, documents, ids):
@@ -413,7 +419,8 @@ def run(argv) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (XmladError, OSError) as exc:  # OSError: e.g. a missing file
+    # OSError: e.g. a missing file; UnicodeDecodeError: a file not UTF-8
+    except (XmladError, OSError, UnicodeDecodeError) as exc:
         print(f"xmlad: {exc}", file=sys.stderr)
         return 2
     return 0

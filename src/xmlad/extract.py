@@ -137,11 +137,12 @@ SLOTS = {AbstractType.NUMERICAL: ("",), AbstractType.DATE: ("",),
 
 
 class IngestPlan:
-    """How `extract_row` walks a schema's documents and `flatten_row` lays
-    out their rows.  In the trie `root`, a node maps a child element's local
-    name or an attribute's `@name` to its node, and None to (index, measure)
-    of its path's descriptor, the last if repeated.  `layout` holds each
-    one's literal count (None if no enumeration), slot count and is-String."""
+    """How `extract_row` walks a schema's documents, `synth` emits them and
+    `flatten_row` lays out their rows.  In the trie `root`, a node maps a
+    child element's local name or an attribute's `@name` to its node, and
+    None to (index, measure) of its path's descriptor, the last if repeated.
+    `layout` holds each one's literal count (None if no enumeration), slot
+    count and is-String."""
 
     def __init__(self, descriptors):
         self.root = {}
@@ -157,7 +158,7 @@ class IngestPlan:
                 else None, len(SLOTS.get(at, ())), at is AbstractType.STRING))
 
 
-def _local(tag: str) -> str:
+def local_name(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
@@ -180,7 +181,7 @@ def extract_row(xml_text: str, schema: SchemaVector) -> ExtractedRow:
     stack = [(root, schema.ingest_plan.root)]
     while stack:
         elem, parent = stack.pop()
-        node = parent.get(_local(elem.tag))
+        node = parent.get(local_name(elem.tag))
         if node is None:
             unknown += sum(1 for e in elem.iter() if not len(e))
             continue
@@ -192,7 +193,7 @@ def extract_row(xml_text: str, schema: SchemaVector) -> ExtractedRow:
         elif not children:
             unknown += 1
         for name, value in elem.items():
-            hit = node.get("@" + _local(name), {}).get(None)
+            hit = node.get("@" + local_name(name), {}).get(None)
             if hit is not None:
                 features[hit[0]].append(hit[1](value))
         if children:  # popped in document order

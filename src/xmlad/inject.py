@@ -16,6 +16,7 @@ from enum import Enum
 
 from . import persist
 from .errors import EmptyCorpus, MalformedXml
+from .extract import local_name
 from .payloads import (CDATA_PAYLOADS, XPATH_PAYLOADS, XSS_PAYLOADS,
                        load_leakage_sentences)
 from .schema import AbstractType, SchemaVector
@@ -60,19 +61,17 @@ def _digest(text: str) -> str:
     return hashlib.sha256((text or "").encode("utf-8")).hexdigest()[:12]
 
 
-def _local(tag: str) -> str:
-    return tag.split("}")[-1]
-
-
 def _walk_targets(root, schema: SchemaVector):
-    """Collect injectable targets: typed leaf elements and sibling gaps."""
+    """Collect injectable targets in document order: typed leaf elements
+    and sibling gaps."""
     types = {d.path: d.abstract_type for d in schema.descriptors}
     numeric, textual, gaps = [], [], []
     simple_count = 0
-
-    def walk(elem, prefix):
-        nonlocal simple_count
-        path = f"{prefix}/{_local(elem.tag)}" if prefix else _local(elem.tag)
+    stack = [(root, "")]
+    while stack:
+        elem, prefix = stack.pop()
+        name = local_name(elem.tag)
+        path = f"{prefix}/{name}" if prefix else name
         children = list(elem)
         if not children:
             simple_count += 1
@@ -84,10 +83,7 @@ def _walk_targets(root, schema: SchemaVector):
         if len(children) >= 2:
             # host element; the concrete sibling gap is drawn at injection time
             gaps.append((path, elem))
-        for child in children:
-            walk(child, path)
-
-    walk(root, "")
+        stack.extend([(child, path) for child in reversed(children)])
     return simple_count, numeric, textual, gaps
 
 
@@ -163,7 +159,11 @@ def inject_document(xml_text: str, schema: SchemaVector, spec: InjectionSpec,
             textual.remove(target)
             injections.append((cls.value, path, _digest(original)))
 
-    out = ET.tostring(root, encoding="unicode")
+    try:
+        out = ET.tostring(root, encoding="unicode")
+    except RecursionError:  # the serializer recurses once per level
+        raise MalformedXml(f"document {document_id!r} is nested too deeply "
+                           "to serialize") from None
     for token, payload in cdata_slots:
         out = out.replace(token, payload, 1)
     record = InjectionRecord(document_id=document_id, injections=injections,

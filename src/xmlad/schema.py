@@ -281,7 +281,8 @@ def parse_xsd(xsd_text: str, include_attributes: bool = True) -> SchemaVector:
     """Parse an XSD document into a SchemaVector.
 
     Unsupported constructs are recorded on the result's issue list and the
-    parse continues; only unparseable XML raises.
+    parse continues; only unparseable XML, non-integer occurs bounds and
+    nesting too deep to visit raise.
     """
     try:
         root = ET.fromstring(xsd_text)
@@ -298,9 +299,12 @@ def parse_xsd(xsd_text: str, include_attributes: bool = True) -> SchemaVector:
             parser.named_complex[name] = child
         elif child.tag == _xs("element") and name:
             parser.global_elements[name] = child
-    for child in root:
-        if child.tag == _xs("element"):
-            parser.visit_element(child, "", frozenset())
+    try:
+        for child in root:
+            if child.tag == _xs("element"):
+                parser.visit_element(child, "", frozenset())
+    except RecursionError:  # the visitors recurse a few frames per level
+        raise MalformedSchema("XSD nested too deeply to parse") from None
     digest = hashlib.sha256(xsd_text.encode("utf-8")).hexdigest()
     return SchemaVector(descriptors=tuple(parser.descriptors),
                         source_hash=digest,

@@ -4,7 +4,7 @@ suite; real production corpora are not distributable, so tests run on
 corpora built here."""
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from xml.etree import ElementTree as ET
 
@@ -36,37 +36,6 @@ class StringParams:
     std_words: float = 1.0
 
 
-@dataclass
-class _Node:
-    name: str
-    descriptor: object = None
-    children: dict = field(default_factory=dict)
-    attributes: list = field(default_factory=list)  # (name, descriptor)
-
-
-def _build_tree(schema: SchemaVector):
-    roots = {}
-    for desc in schema.descriptors:
-        parts = desc.path.split("/")
-        attr = None
-        if parts[-1].startswith("@"):
-            attr = parts[-1][1:]
-            parts = parts[:-1]
-        level = roots
-        node = None
-        for part in parts:
-            node = level.setdefault(part, _Node(part))
-            level = node.children
-        if attr is not None:
-            node.attributes.append((attr, desc))
-        else:
-            node.descriptor = desc
-    if len(roots) != 1:
-        raise MissingParams(
-            f"schema must have exactly one document root, found {len(roots)}")
-    return next(iter(roots.values()))
-
-
 def _sample_value(desc, params, rng: random.Random) -> str:
     at = desc.abstract_type
     if at is AbstractType.NUMERICAL:
@@ -92,23 +61,35 @@ def generate_normal_corpus(schema: SchemaVector, params: dict, m: int,
             raise MissingParams(f"no generative params for {desc.path!r}")
     if m == 0:
         return []
-    root_node = _build_tree(schema)
+    roots = schema.ingest_plan.root
+    if len(roots) != 1:
+        raise MissingParams(
+            f"schema must have exactly one document root, found {len(roots)}")
 
-    def emit(node, rng):
-        elem = ET.Element(node.name)
-        for aname, adesc in node.attributes:
-            elem.set(aname, _sample_value(adesc, params[adesc.path], rng))
-        if node.descriptor is not None:
-            elem.text = _sample_value(node.descriptor,
-                                      params[node.descriptor.path], rng)
-        for child in node.children.values():
-            elem.append(emit(child, rng))
+    def draw(node, rng):
+        desc = schema.descriptors[node[None][0]]
+        return _sample_value(desc, params[desc.path], rng)
+
+    def emit(name, node, rng):
+        # a trie node's `@name` attributes, then its own text, then its
+        # child elements: this order fixes the rng draws, so every byte
+        elem = ET.Element(name)
+        for key, child in node.items():
+            if key is not None and key.startswith("@"):
+                elem.set(key[1:], draw(child, rng))
+        if None in node:
+            elem.text = draw(node, rng)
+        for key, child in node.items():
+            if key is not None and not key.startswith("@"):
+                elem.append(emit(key, child, rng))
         return elem
 
+    [(name, root_node)] = roots.items()
     docs = []
     for i in range(m):
         rng = random.Random(f"xmlad-synth:{seed}:{i}")
-        docs.append(ET.tostring(emit(root_node, rng), encoding="unicode"))
+        docs.append(ET.tostring(emit(name, root_node, rng),
+                                encoding="unicode"))
     return docs
 
 

@@ -448,6 +448,60 @@ def _column(values):
     return [[v] for v in values]
 
 
+def _inject_deep_document(ws):
+    """A corpus whose one well-formed document is 3,000 elements deep."""
+    assert run(["schema-parse", str(ws / "schema.xsd"),
+                "-o", str(ws / "s.xadschema")]) == 0
+    (ws / "deep").mkdir()
+    (ws / "deep" / "deep.xml").write_text(
+        "<Transaction>" + "<X>" * 3000 + "</X>" * 3000 + "</Transaction>",
+        encoding="utf-8")
+    return ["inject", "--schema", str(ws / "s.xadschema"),
+            "--in", str(ws / "deep"), "--out", str(ws / "x"),
+            "--anomaly-index", "0.2"]
+
+
+def _deep_xsd(depth):
+    """A valid XSD of `depth` nested anonymous complex types."""
+    level = '<xsd:element name="E"><xsd:complexType><xsd:sequence>'
+    return ('<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">'
+            + level * depth + '<xsd:element name="Leaf" type="xsd:string"/>'
+            + "</xsd:sequence></xsd:complexType></xsd:element>" * depth
+            + "</xsd:schema>")
+
+
+def _to_latin_1(path: Path) -> None:
+    """Rewrite a text file in Latin-1 with `Transaction` spelt
+    `Transacción`, so that it is no longer UTF-8."""
+    text = path.read_text(encoding="utf-8")
+    assert "Transaction" in text
+    path.write_bytes(text.replace("Transaction", "Transacción")
+                     .encode("latin-1"))
+
+
+def _extract_latin_1(ws, name):
+    """`extract` of the corpus, after `name` was rewritten in Latin-1."""
+    _pipeline(ws, count=10)
+    _to_latin_1(ws / name)
+    return ["extract", str(ws / "normal"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.xadfm")]
+
+
+def _xsd_latin_1(ws):
+    _to_latin_1(ws / "schema.xsd")
+    return ["schema-parse", str(ws / "schema.xsd"),
+            "-o", str(ws / "o.xadschema")]
+
+
+def _score_latin_1_model(ws):
+    _, dataset = _pipeline(ws, count=10)
+    assert run(["train", "--dataset", str(dataset),
+                "-o", str(ws / "m.xadmodel")]) == 0
+    _to_latin_1(ws / "m.xadmodel")
+    return ["score", "--model", str(ws / "m.xadmodel"),
+            "--dataset", str(dataset), "-o", str(ws / "o.csv")]
+
+
 _DATA_ERRORS = {
     "unparseable-xsd": lambda ws: _schema_parse(ws, "<broken"),
     "occurs-not-int": lambda ws: _schema_parse(ws, PAYMENT_XSD.replace(
@@ -495,6 +549,13 @@ _DATA_ERRORS = {
     # a model of the former raw-distance pga: z-scores are required now
     "model-raw-pga": lambda ws: _edited_model(
         ws, "pga", lambda b: b.update(mu=None, sd=None), _hand_dumps),
+    "inject-deep-document": _inject_deep_document,
+    "deep-xsd": lambda ws: _schema_parse(ws, _deep_xsd(1200)),
+    "extract-latin-1-document": lambda ws: _extract_latin_1(
+        ws, "normal/doc0.xml"),
+    "extract-latin-1-schema": lambda ws: _extract_latin_1(ws, "s.xadschema"),
+    "schema-parse-latin-1-xsd": _xsd_latin_1,
+    "score-latin-1-model": _score_latin_1_model,
 }
 
 
@@ -508,6 +569,13 @@ def test_data_error_exit_2(workspace, capsys, case):
     for flag in ("-o", "--out"):  # a data error leaves no output file
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()
+
+
+def test_latin_1_document_named(workspace, capsys):
+    argv = _extract_latin_1(workspace, "normal/doc0.xml")
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "doc0.xml: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_extract_flags_nan_amount(workspace):

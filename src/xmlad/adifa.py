@@ -11,8 +11,10 @@ Every kernel density (per-attribute, leave-one-out and meta) comes from
 `_kernel_sums`, which sums each column's kernels over its distinct training
 values, weighted by their counts, in fixed-size blocks: memory is O(block),
 not O(m^2), and `train`, `score_batch` and `classify` share its arithmetic
-bit for bit.  It has two paths.  The exact path sums every kernel; a
-leave-one-out sum there counts the row's own value once less, so it is
+bit for bit; `train` ranks each cell among them by one argsort of its
+columns.  It has two paths.  The exact path sums every kernel, once per
+distinct value that several rows hold in a column that is not wide (below);
+a leave-one-out sum there counts the row's own value once less, so it is
 exact even for an isolated training point.  A wide column, one with more
 distinct values than its Hermite expansion has coefficients, is summed
 instead from the expansions of its values in boxes one sigma wide (the 1-D
@@ -187,14 +189,15 @@ class _KernelTable:
 
     def __init__(self, columns, taus):
         taus = np.asarray(taus, dtype=float)
-        # where each run of equal values starts in its sorted column
-        firsts = [np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
-                  for c in columns]
-        lens = np.array([len(f) for f in firsts])
-        values = np.concatenate([c[f] for c, f in zip(columns, firsts)])
-        counts = np.concatenate([np.diff(f, append=len(c))
-                                 for c, f in zip(columns, firsts)]
-                                ).astype(float)
+        # where each run of equal values starts in its sorted column, which
+        # may be a separate array (at load), so that none is stacked
+        run = np.ones((len(columns), len(columns[0])), dtype=bool)
+        for c, r in zip(columns, run):
+            np.not_equal(c[1:], c[:-1], out=r[1:])
+        lens = run.sum(axis=1)
+        values = np.concatenate([c[r] for c, r in zip(columns, run)])
+        self.counts = counts = np.diff(np.flatnonzero(run),
+                                       append=run.size).astype(float)
         col = np.repeat(np.arange(len(columns)), lens)
         self.offsets = np.concatenate([[0], np.cumsum(lens)])
         neg = np.repeat(-taus, lens)
@@ -205,7 +208,7 @@ class _KernelTable:
         np.not_equal(box[1:], box[:-1], out=new[1:])
         new[self.offsets[:-1]] = True
         first = np.flatnonzero(new)
-        del box, new  # per-value temporaries set the peak of a model load
+        del box, new, run  # temporaries that set the peak of a model load
         boxes = np.bincount(col[first], minlength=len(lens))
         wide = lens > boxes * _TERMS
 
@@ -330,6 +333,27 @@ def _fill(out, g: _Group, points, own, rows=None):
     out[at] = _group_sums(g, points[at], None if own is None else own[at])
 
 
+def _fill_distinct(out, g: _Group, points, own):
+    """`_fill` of every row, each distinct (column, value) summed once: row
+    r of the queries holds each column's r-th least value (or its greatest),
+    ranked by `own` or else by one argsort of the points."""
+    cols, own_q = np.arange(len(g.cols)), None
+    if own is None:  # rows: each column's rows in sorted order
+        rows = points[:, g.cols].argsort(axis=0)
+        q = np.take_along_axis(points[:, g.cols], rows, axis=0)
+        rank = np.zeros(q.shape, dtype=np.intp)
+        rank[1:] = q[1:] != q[:-1]
+        rank.cumsum(axis=0, out=rank)
+        queries = np.tile(q[-1], (rank[-1].max() + 1, 1))
+        queries[rank, cols] = q
+    else:
+        rows, rank = slice(None), own[:, g.cols] - g.base - g.starts
+        at = g.starts + np.minimum(np.arange(g.lens.max())[:, None],
+                                   g.lens - 1)
+        queries, own_q = g.values[at], at + g.base
+    out[rows, g.cols] = _group_sums(g, queries, own_q)[rank, cols]
+
+
 def _hermite_sums(e: _Expansion, points, loo: bool):
     """The wide columns' kernel sums from their box expansions, and which
     cells keep them, for points (t, wide columns).
@@ -389,7 +413,9 @@ def _kernel_sums(table: _KernelTable, points, own=None,
     """
     out = np.empty(points.shape)
     e = table.expansion if expand else None
-    for g in table.narrow + table.wide if e is None else table.narrow:
+    for g in table.narrow:
+        (_fill_distinct if len(points) > 1 else _fill)(out, g, points, own)
+    for g in table.wide if e is None else ():
         _fill(out, g, points, own)
     if e is not None:
         sums, kept = _hermite_sums(e, points[:, e.cols], own is not None)
@@ -429,6 +455,18 @@ def _aggregate(weighted: np.ndarray, psi: str) -> np.ndarray:
     return np.where(has_zero, 0.0, out)
 
 
+def _sorted_table(columns, taus):
+    """Sort the rows of columns (n, m) in place; their kernel table, and
+    each cell's index among the table's values (m, n) from one argsort."""
+    order = columns.argsort(axis=1)
+    columns.sort(axis=1)  # np.sort's bits, as saved: -0.0 may become 0.0
+    table = _KernelTable(columns, taus)
+    own = np.empty_like(order)
+    runs = np.repeat(np.arange(table.offsets[-1]), table.counts.astype(int))
+    np.put_along_axis(own, order, runs.reshape(order.shape), axis=1)
+    return table, own.T
+
+
 def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
     """Fit the full model: attribute KDEs, entropy weights, leave-one-out
     training scores, and the meta KDE over those scores."""
@@ -442,24 +480,17 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
 
     columns = X.T.copy()  # C order: each row reduces as a 1-D column
     sigmas, taus, norms = _fit_kernel(columns)
-    # each cell's index among its column's distinct values, and their counts
-    distinct = [np.unique(c, return_inverse=True, return_counts=True)[1:]
-                for c in columns]
-    entropies = [attribute_entropy(c, counts)
-                 for c, (_, counts) in zip(columns, distinct)]
+    kernels, own = _sorted_table(columns, taus)
+    entropies = [attribute_entropy(c, kernels.counts[a:b]) for c, a, b in
+                 zip(columns, kernels.offsets[:-1], kernels.offsets[1:])]
     weights = np.array(compute_weights(entropies))
-
-    columns.sort(axis=1)
-    kernels = _KernelTable(columns, taus)
-    own = kernels.offsets[:-1] + np.column_stack([i for i, _ in distinct])
     loo = norms * _kernel_sums(kernels, X, own, expand=True) / (m - 1)
     scores = _aggregate(weights * loo, psi)
 
     meta_sigma, meta_tau, meta_norm = _fit_kernel(scores)
-    own = np.unique(scores, return_inverse=True)[1]
-    meta = _KernelTable([np.sort(scores)], [meta_tau])
+    meta, own = _sorted_table(scores[None, :].copy(), [meta_tau])
     loo_meta = meta_norm * _kernel_sums(
-        meta, scores[:, None], own[:, None], expand=True)[:, 0] / (m - 1)
+        meta, scores[:, None], own, expand=True)[:, 0] / (m - 1)
 
     attributes = [
         AttributeModel(values=columns[j], sigma=float(sigmas[j]),

@@ -83,18 +83,18 @@ def _kth_smallest(D: np.ndarray, k: int) -> np.ndarray:
 
 def _nearest(D: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k smallest distances, ties by index:
-    the first k of a stable argsort.  A partition selects them and only
-    they are sorted; a row whose k-th distance ties its (k+1)-th, where
-    the partition's choice among the tied is arbitrary, is sorted whole."""
+    the first k of a stable argsort.  One partition at k selects them and
+    only they are sorted; a row whose k-th distance (their last) ties the
+    (k+1)-th, where the partition's choice is arbitrary, is sorted whole."""
     if k >= D.shape[1]:
         return np.argsort(D, axis=1, kind="stable")[:, :k]
-    part = np.argpartition(D, (k - 1, k), axis=1)
+    part = np.argpartition(D, k, axis=1)
     near = np.sort(part[:, :k], axis=1)
-    order = np.argsort(np.take_along_axis(D, near, axis=1), axis=1,
-                       kind="stable")
+    dists = np.take_along_axis(D, near, axis=1)
+    order = np.argsort(dists, axis=1, kind="stable")
     near = np.take_along_axis(near, order, axis=1)
-    edge = np.take_along_axis(D, part[:, k - 1:k + 1], axis=1)
-    tied = np.flatnonzero(edge[:, 0] == edge[:, 1])
+    kth = np.take_along_axis(dists, order[:, -1:], axis=1)[:, 0]
+    tied = np.flatnonzero(kth == D[np.arange(len(D)), part[:, k]])
     near[tied] = np.argsort(D[tied], axis=1, kind="stable")[:, :k]
     return near
 

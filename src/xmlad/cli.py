@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import adifa, model_io, synth
+from . import adifa, model_io, persist, synth
 from .errors import CorruptFile, XmladError
 from .extract import FeatureMatrix, build_feature_matrix
 from .flatten import (DEFAULT_TFIDF_K, LABELS, FlatDataset,
@@ -34,10 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path) -> str:
+    return sys.stdin.read() if path == "-" else persist.read_text(path)
 
 
 def _load_corpus(source: str):
@@ -47,19 +45,13 @@ def _load_corpus(source: str):
     if p.is_dir():
         files = sorted(p.glob("*.xml"))
     else:
-        files = [Path(line) for line in p.read_text(encoding="utf-8").splitlines()
+        files = [Path(line) for line in _read_text(p).splitlines()
                  if line.strip()]
     ids = [f.name for f in files]
     repeated = [name for name, n in Counter(ids).items() if n > 1]
     if repeated:
         raise CorruptFile(f"{source}: two documents are named {repeated[0]!r}")
-    documents = []
-    for f in files:
-        try:
-            documents.append(f.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CorruptFile(f"{f}: {exc}") from None
-    return documents, ids
+    return [_read_text(f) for f in files], ids
 
 
 def _write_corpus(directory: str, documents, ids):
@@ -419,7 +411,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    # OSError: e.g. a missing file; UnicodeDecodeError: a file not UTF-8
+    # OSError: a missing file, say; UnicodeDecodeError: stdin or --labels
     except (XmladError, OSError, UnicodeDecodeError) as exc:
         print(f"xmlad: {exc}", file=sys.stderr)
         return 2

@@ -99,8 +99,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = persist.read_text(path)
     header = text.split("\n", 1)[0]
     for a in ALGORITHMS.values():
         if header.startswith(f"xmlad-{a.kind} v"):

@@ -112,9 +112,17 @@ def write(path, kind: str, body) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """A file's text; a file that is not UTF-8 is CorruptFile, naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path}: {exc}") from None
+
+
 def read(path, kind: str, build=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(kind, fh.read(), build)
+    return loads(kind, read_text(path), build)
 
 
 def decode(cls, body):

@@ -366,6 +366,35 @@ def test_kernel_sums_do_not_depend_on_block_size(monkeypatch, block):
     assert np.array_equal(adifa._kernel_sums(table, points), sums)
 
 
+def test_kernel_sums_of_a_block_match_row_by_row():
+    # a block sums each distinct (column, value) once and gathers it back;
+    # one row is summed as it is, so the two must agree bit for bit
+    X = np.round(_heavy_duplicate_rows(3000))
+    table, own, taus = _table_and_own(X)
+    assert table.expansion is None and len(table.narrow) == 1
+    assert len(X) > table.narrow[0].rows  # more rows than one block
+    assert table.offsets[-1] < X.size // 20  # heavy duplicates
+
+    def by_row(points, own=None):
+        return np.concatenate([adifa._kernel_sums(
+            table, points[i:i + 1], None if own is None else own[i:i + 1])
+            for i in range(len(points))])
+    assert np.array_equal(adifa._kernel_sums(table, X, own), by_row(X, own))
+    # seen and unseen values, and far points
+    points = np.concatenate([X[:1500], X[1500:] + 0.5, _far_points(X, taus)])
+    assert np.array_equal(adifa._kernel_sums(table, points), by_row(points))
+
+
+def test_trained_columns_keep_np_sort_bits():
+    # -0.0 and 0.0 compare equal, and the saved columns keep np.sort's
+    # choice between them
+    X = np.round(_heavy_duplicate_rows(300))
+    assert np.signbit(X[X == 0.0]).any() and not np.signbit(X[X == 0.0]).all()
+    model = train(make_dataset(X), psi="gm")
+    for am, column in zip(model.attributes, X.T):
+        assert am.values.tobytes() == np.sort(column).tobytes()
+
+
 @pytest.mark.parametrize("m", [50, 60])
 def test_isolated_point_leave_one_out_matches_oracle(m):
     # the lone 1.0's own kernel is most of its full sum, so S - 1 cancels

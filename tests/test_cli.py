@@ -578,6 +578,18 @@ def test_latin_1_document_named(workspace, capsys):
     assert "doc0.xml: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, name", [
+    ("extract-latin-1-schema", "s.xadschema"),
+    ("score-latin-1-model", "m.xadmodel"),
+    ("schema-parse-latin-1-xsd", "schema.xsd")])
+def test_latin_1_file_named(workspace, capsys, case, name):
+    argv = _DATA_ERRORS[case](workspace)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert (f"xmlad: {workspace / name}: 'utf-8' codec can't decode"
+            in capsys.readouterr().err)
+
+
 def test_extract_flags_nan_amount(workspace):
     # NaN is no number to measure: a parse failure of its document's row
     argv = _extract_nan_amount(workspace)

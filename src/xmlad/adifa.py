@@ -53,22 +53,21 @@ _KEEP = 1e-13  # largest bound, relative to the sum, that a cell keeps
 _TINY = np.finfo(float).tiny  # least normal float
 
 
-def attribute_entropy(column, counts=None) -> float:
+def attribute_entropy(column) -> float:
     """Shannon entropy (bits) of a column's empirical distribution.
 
-    Columns with few distinct values are binned on those values, whose
-    counts the caller may pass; wider columns use equal-width Sturges
-    binning.
+    Columns with few distinct values are binned on those values; wider
+    columns use equal-width Sturges binning, whose bins are np.histogram's:
+    each holds its left edge, and the last its right edge as well.
     """
-    vals = np.asarray(column, dtype=float)
+    vals = np.sort(np.asarray(column, dtype=float))
     m = len(vals)
-    if counts is None:
-        counts = np.unique(vals, return_counts=True)[1]
-    if len(counts) > _DISTINCT_BIN_LIMIT:
-        n_bins = math.ceil(1 + math.log2(m))
-        counts, _ = np.histogram(vals, bins=n_bins)
-        counts = counts[counts > 0]
-    p = counts / m
+    starts = np.flatnonzero(vals[1:] != vals[:-1]) + 1  # of runs but the first
+    if len(starts) + 1 > _DISTINCT_BIN_LIMIT:  # distinct values
+        edges = np.linspace(vals[0], vals[-1], math.ceil(1 + math.log2(m)) + 1)
+        starts = np.searchsorted(vals, edges[1:-1])  # of bins but the first
+    counts = np.diff(starts, prepend=0, append=m)
+    p = counts[counts > 0] / m
     return float(-(p * np.log2(p)).sum())
 
 
@@ -481,8 +480,7 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
     columns = X.T.copy()  # C order: each row reduces as a 1-D column
     sigmas, taus, norms = _fit_kernel(columns)
     kernels, own = _sorted_table(columns, taus)
-    entropies = [attribute_entropy(c, kernels.counts[a:b]) for c, a, b in
-                 zip(columns, kernels.offsets[:-1], kernels.offsets[1:])]
+    entropies = [attribute_entropy(c) for c in columns]  # sorted columns
     weights = np.array(compute_weights(entropies))
     loo = norms * _kernel_sums(kernels, X, own, expand=True) / (m - 1)
     scores = _aggregate(weights * loo, psi)

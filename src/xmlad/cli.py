@@ -19,7 +19,7 @@ from .extract import FeatureMatrix, build_feature_matrix
 from .flatten import (DEFAULT_TFIDF_K, LABELS, FlatDataset,
                       TfIdfDictionary, build_dictionary, flatten_matrix)
 from .inject import ALL_CLASSES, AttackClass, InjectionSpec, \
-    make_anomalous_corpus, records_to_text
+    make_anomalous_corpus
 from .schema import SchemaVector, parse_xsd
 
 log = logging.getLogger("xmlad")
@@ -34,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _read_text(path) -> str:
-    return sys.stdin.read() if path == "-" else persist.read_text(path)
-
-
 def _load_corpus(source: str):
     """A directory of .xml files or a newline-delimited manifest, whose
     documents' names are their row ids, so no two may share one."""
@@ -45,13 +41,17 @@ def _load_corpus(source: str):
     if p.is_dir():
         files = sorted(p.glob("*.xml"))
     else:
-        files = [Path(line) for line in _read_text(p).splitlines()
+        files = [Path(line) for line in persist.read_text(p).splitlines()
                  if line.strip()]
     ids = [f.name for f in files]
+    for f in files:  # labels.csv cannot hold a name's surrogates
+        if f.name.encode("utf-8", "replace").decode() != f.name:
+            shown = os.fsencode(f).decode("utf-8", "backslashreplace")
+            raise CorruptFile(f"{shown}: the file name is not UTF-8")
     repeated = [name for name, n in Counter(ids).items() if n > 1]
     if repeated:
         raise CorruptFile(f"{source}: two documents are named {repeated[0]!r}")
-    return [_read_text(f) for f in files], ids
+    return [persist.read_text(f) for f in files], ids
 
 
 def _write_corpus(directory: str, documents, ids):
@@ -200,7 +200,7 @@ def _write_rows(path, rows) -> None:
 
 
 def _cmd_schema_parse(args) -> None:
-    schema = parse_xsd(_read_text(args.xsd),
+    schema = parse_xsd(persist.read_text(args.xsd, stdin=True),
                        include_attributes=not args.no_attributes)
     for path, message in schema.issues:
         log.warning("schema issue at %s: %s", path, message)
@@ -226,7 +226,7 @@ def _cmd_flatten(args) -> None:
     labels = None
     if args.labels:
         by_id = {}
-        with open(args.labels, "r", encoding="utf-8", newline="") as fh:
+        with persist.open_text(args.labels) as fh:
             for row in csv.reader(fh):
                 if len(row) < 2 or row[0] == "row_id":
                     continue
@@ -311,18 +311,14 @@ def _cmd_inject(args) -> None:
     _write_rows(Path(args.output) / "labels.csv",
                 [["row_id", "label"], *zip(ids, labels)])
     if args.truth_out:
-        with open(args.truth_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(records_to_text(records))
+        persist.write(args.truth_out, "truth", {"records": records})
 
 
 def _cmd_gen_corpus(args) -> None:
     schema = SchemaVector.load(args.schema)
     if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:  # not JSON, or undecodable bytes
-                raise CorruptFile(f"{args.params}: {exc}") from None
+        with persist.open_text(args.params) as fh:
+            obj = json.load(fh)
         params = synth.params_from_obj(schema, obj)
     else:
         params = synth.demo_params(schema, seed=args.seed)
@@ -411,8 +407,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    # OSError: a missing file, say; UnicodeDecodeError: stdin or --labels
-    except (XmladError, OSError, UnicodeDecodeError) as exc:
+    except (XmladError, OSError) as exc:  # OSError: a missing file, say
         print(f"xmlad: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -88,29 +88,26 @@ class FlatDataset:
     def from_csv(cls, path) -> "FlatDataset":
         """Read a dataset; an empty, ragged or non-numeric one is corrupt,
         and so is a label other than "normal" or "anomalous"."""
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if not header:
-                    raise CorruptFile(f"{path}: no header row")
-                has_label = header[-1] == "label"
-                names = tuple(header[:-1] if has_label else header)
-                rows, labels = [], []
-                for cells in reader:
-                    if len(cells) != len(header):
-                        raise CorruptFile(f"{path}: line {reader.line_num} "
-                                          f"has {len(cells)} cells")
-                    if has_label:
-                        if cells[-1] not in LABELS:
-                            raise CorruptFile(
-                                f"{path}: line {reader.line_num} has label "
-                                f"{cells[-1]!r}, not one of {LABELS}")
-                        labels.append(cells[-1])
-                        cells = cells[:-1]
-                    rows.append([float(c) for c in cells])
-        except ValueError as exc:  # a non-numeric cell or undecodable bytes
-            raise CorruptFile(f"{path}: {exc}") from None
+        with persist.open_text(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise CorruptFile(f"{path}: no header row")
+            has_label = header[-1] == "label"
+            names = tuple(header[:-1] if has_label else header)
+            rows, labels = [], []
+            for cells in reader:
+                if len(cells) != len(header):
+                    raise CorruptFile(f"{path}: line {reader.line_num} "
+                                      f"has {len(cells)} cells")
+                if has_label:
+                    if cells[-1] not in LABELS:
+                        raise CorruptFile(
+                            f"{path}: line {reader.line_num} has label "
+                            f"{cells[-1]!r}, not one of {LABELS}")
+                    labels.append(cells[-1])
+                    cells = cells[:-1]
+                rows.append([float(c) for c in cells])
         data = (np.array(rows, dtype=float) if rows
                 else np.empty((0, len(names))))
         return cls(column_names=names, rows=data,

@@ -9,6 +9,8 @@ import base64
 import re
 from importlib import resources
 
+from . import persist
+
 XSS_PAYLOADS = (
     "<script>alert('xss-probe-1')</script>",
     "<script src=\"http://evil.example/hook.js\"></script>",
@@ -49,11 +51,7 @@ _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 def load_leakage_sentences(path=None):
     """Sentences of the bundled (or user supplied) plain-text corpus."""
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = (resources.files("xmlad") / "data" / "leakage_corpus.txt") \
-            .read_text(encoding="utf-8")
-    flat = " ".join(text.split())
+    if path is None:
+        path = resources.files("xmlad") / "data" / "leakage_corpus.txt"
+    flat = " ".join(persist.read_text(path).split())
     return [s for s in _SENTENCE_SPLIT.split(flat) if s]

@@ -26,6 +26,8 @@ reported as `CorruptFile` in one place.
 import hashlib
 import json
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -112,13 +114,22 @@ def write(path, kind: str, body) -> None:
         raise
 
 
-def read_text(path) -> str:
-    """A file's text; a file that is not UTF-8 is CorruptFile, naming it."""
+@contextmanager
+def open_text(path, stdin=False):
+    """A file, or stdin for `-` if `stdin` is set, as strict UTF-8 with
+    universal newlines; a ValueError in the block is CorruptFile naming it."""
+    use_stdin = stdin and path == "-"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
+        with open(sys.stdin.fileno() if use_stdin else path, encoding="utf-8",
+                  closefd=not use_stdin) as fh:
+            yield fh
+    except ValueError as exc:  # undecodable bytes, or a value not parsed
         raise CorruptFile(f"{path}: {exc}") from None
+
+
+def read_text(path, stdin=False) -> str:
+    with open_text(path, stdin) as fh:
+        return fh.read()
 
 
 def read(path, kind: str, build=None):

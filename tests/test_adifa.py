@@ -44,6 +44,22 @@ def test_entropy_sturges_binning_matches_oracle():
             oracle.entropy_bits(col), abs=1e-12)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.7, 12.9),
+                                    (1.6e9, 1.6e9 + 86400.0)])
+def test_entropy_sturges_bins_match_np_histogram(lo, hi):
+    # every bin edge is a value of the column, some of them many times
+    m = 300
+    n_bins = math.ceil(1 + math.log2(m))
+    edges = np.linspace(lo, hi, n_bins + 1)
+    rng = np.random.default_rng(7)
+    col = np.concatenate([edges, rng.choice(edges, 60),
+                          rng.uniform(lo, hi, m - 60 - len(edges))])
+    rng.shuffle(col)
+    counts = np.histogram(col, bins=n_bins)[0]
+    p = counts[counts > 0] / m
+    assert attribute_entropy(col) == float(-(p * np.log2(p)).sum())
+
+
 # -- weights ---------------------------------------------------------------
 
 def test_weights_symmetric_pair():

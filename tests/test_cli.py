@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -470,13 +471,12 @@ def _deep_xsd(depth):
             + "</xsd:schema>")
 
 
-def _to_latin_1(path: Path) -> None:
-    """Rewrite a text file in Latin-1 with `Transaction` spelt
-    `Transacción`, so that it is no longer UTF-8."""
+def _to_latin_1(path: Path, old="Transaction", new="Transacción") -> None:
+    """Rewrite a text file in Latin-1 with `old` spelt `new`, so that it
+    is no longer UTF-8."""
     text = path.read_text(encoding="utf-8")
-    assert "Transaction" in text
-    path.write_bytes(text.replace("Transaction", "Transacción")
-                     .encode("latin-1"))
+    assert old in text
+    path.write_bytes(text.replace(old, new).encode("latin-1"))
 
 
 def _extract_latin_1(ws, name):
@@ -491,6 +491,54 @@ def _xsd_latin_1(ws):
     _to_latin_1(ws / "schema.xsd")
     return ["schema-parse", str(ws / "schema.xsd"),
             "-o", str(ws / "o.xadschema")]
+
+
+def _xsd_latin_1_stdin(ws):
+    _to_latin_1(ws / "schema.xsd")
+    (ws / "stdin").write_bytes((ws / "schema.xsd").read_bytes())
+    return ["schema-parse", "-", "-o", str(ws / "o.xadschema")]
+
+
+def _run(argv, ws):
+    """`run(argv)`, with the workspace's file `stdin`, if a case wrote one,
+    as standard input, opened as the interpreter opens its own on POSIX
+    under the C locale."""
+    if not (ws / "stdin").exists():
+        return run(argv)
+    with open(ws / "stdin", encoding="utf-8", errors="surrogateescape",
+              newline="\n") as fh, mock.patch.object(sys, "stdin", fh):
+        return run(argv)
+
+
+def _flatten_latin_1_labels(ws):
+    _pipeline(ws, count=10)
+    _to_latin_1(ws / "injected" / "labels.csv", "normal", "nórmal")
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
+            "--labels", str(ws / "injected" / "labels.csv")]
+
+
+def _inject_latin_1_payloads(ws):
+    _pipeline(ws, count=10)
+    (ws / "payload.txt").write_bytes("Transacción aprobada.".encode("latin-1"))
+    return ["inject", "--schema", str(ws / "s.xadschema"),
+            "--in", str(ws / "normal"), "--out", str(ws / "x"),
+            "--anomaly-index", "0.2", "--classes", "leak",
+            "--payload-corpus", str(ws / "payload.txt")]
+
+
+def _non_utf_8_name(ws, command):
+    """`extract` or `inject` of the corpus, after its doc0.xml was renamed
+    doc\\xf3.xml, a name that is not UTF-8."""
+    _pipeline(ws, count=10)
+    corpus = os.fsencode(ws / "normal")
+    os.rename(corpus + b"/doc0.xml", corpus + b"/doc\xf3.xml")
+    if command == "extract":
+        return ["extract", str(ws / "normal"), "--schema",
+                str(ws / "s.xadschema"), "-o", str(ws / "o.xadfm")]
+    return ["inject", "--schema", str(ws / "s.xadschema"),
+            "--in", str(ws / "normal"), "--out", str(ws / "x"),
+            "--anomaly-index", "0.2"]
 
 
 def _score_latin_1_model(ws):
@@ -556,6 +604,11 @@ _DATA_ERRORS = {
     "extract-latin-1-schema": lambda ws: _extract_latin_1(ws, "s.xadschema"),
     "schema-parse-latin-1-xsd": _xsd_latin_1,
     "score-latin-1-model": _score_latin_1_model,
+    "schema-parse-latin-1-stdin": _xsd_latin_1_stdin,
+    "flatten-latin-1-labels": _flatten_latin_1_labels,
+    "inject-latin-1-payload-corpus": _inject_latin_1_payloads,
+    "extract-non-utf-8-name": lambda ws: _non_utf_8_name(ws, "extract"),
+    "inject-non-utf-8-name": lambda ws: _non_utf_8_name(ws, "inject"),
 }
 
 
@@ -563,7 +616,7 @@ _DATA_ERRORS = {
 def test_data_error_exit_2(workspace, capsys, case):
     argv = _DATA_ERRORS[case](workspace)
     capsys.readouterr()
-    assert run(argv) == 2
+    assert _run(argv, workspace) == 2
     err = capsys.readouterr().err
     assert err.startswith("xmlad:") and "Traceback" not in err
     for flag in ("-o", "--out"):  # a data error leaves no output file
@@ -581,13 +634,26 @@ def test_latin_1_document_named(workspace, capsys):
 @pytest.mark.parametrize("case, name", [
     ("extract-latin-1-schema", "s.xadschema"),
     ("score-latin-1-model", "m.xadmodel"),
-    ("schema-parse-latin-1-xsd", "schema.xsd")])
+    ("schema-parse-latin-1-xsd", "schema.xsd"),
+    ("flatten-latin-1-labels", "injected/labels.csv"),
+    ("inject-latin-1-payload-corpus", "payload.txt"),
+    ("schema-parse-latin-1-stdin", "-")])
 def test_latin_1_file_named(workspace, capsys, case, name):
     argv = _DATA_ERRORS[case](workspace)
     capsys.readouterr()
-    assert run(argv) == 2
-    assert (f"xmlad: {workspace / name}: 'utf-8' codec can't decode"
+    assert _run(argv, workspace) == 2
+    source = name if name == "-" else workspace / name
+    assert (f"xmlad: {source}: 'utf-8' codec can't decode"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["extract", "inject"])
+def test_non_utf_8_name_named(workspace, capsys, command):
+    argv = _non_utf_8_name(workspace, command)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert (f"xmlad: {workspace}/normal/doc\\xf3.xml: the file name is not "
+            "UTF-8" in capsys.readouterr().err)
 
 
 def test_extract_flags_nan_amount(workspace):
@@ -680,9 +746,23 @@ def test_usage_error_exit_1(workspace, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-def test_schema_parse_stdin_like_path(tmp_path):
+def test_schema_parse_from_path(tmp_path):
     xsd = tmp_path / "p.xsd"
     xsd.write_text(PAYMENT_XSD, encoding="utf-8")
     out = tmp_path / "p.xadschema"
     assert run(["schema-parse", str(xsd), "-o", str(out)]) == 0
     assert out.read_text().startswith("xmlad-schema v1\n")
+
+
+def test_schema_parse_stdin_reads_as_path(tmp_path):
+    """A CRLF XSD piped to a real standard input gives the bytes of the
+    .xadschema that reading it from its path gives."""
+    xsd = tmp_path / "p.xsd"
+    xsd.write_bytes(PAYMENT_XSD.replace("\n", "\r\n").encode("utf-8"))
+    assert run(["schema-parse", str(xsd), "-o", str(tmp_path / "a")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(xmlad.__file__).parents[1])}
+    with open(xsd, "rb") as fh:
+        subprocess.run([sys.executable, "-m", "xmlad.cli", "schema-parse",
+                        "-", "-o", str(tmp_path / "b")],
+                       stdin=fh, env=env, check=True)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()

@@ -55,11 +55,15 @@ def _load_corpus(source: str):
 
 
 def _write_corpus(directory: str, documents, ids):
+    names = [i if i.endswith(".xml") else f"{i}.xml" for i in ids]
+    repeated = [name for name, n in Counter(names).items() if n > 1]
+    if repeated:
+        raise CorruptFile(f"two documents would be written to {repeated[0]}")
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    for doc_id, doc in zip(ids, documents):
-        name = doc_id if doc_id.endswith(".xml") else f"{doc_id}.xml"
-        (out / name).write_text(doc, encoding="utf-8", newline="\n")
+    for name, doc in zip(names, documents):
+        with persist.create_text(out / name) as fh:
+            fh.write(doc)
 
 
 def _bounded(cast, ok, text):
@@ -189,16 +193,6 @@ def _parse_classes(arg):
     return tuple(classes)
 
 
-def _write_rows(path, rows) -> None:
-    """Write CSV rows to path, or stdout for -.  Callers compute every row
-    first, so a data error leaves no partial file behind."""
-    if path == "-":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
 def _cmd_schema_parse(args) -> None:
     schema = parse_xsd(persist.read_text(args.xsd, stdin=True),
                        include_attributes=not args.no_attributes)
@@ -283,7 +277,7 @@ def _cmd_score(args) -> None:
         for i, (s, bad) in enumerate(zip(scores, flags)):
             rows.append([str(i), repr(float(s)), "",
                          "anomalous" if bad else "normal"])
-    _write_rows(args.output, rows)
+    persist.write_rows(args.output, rows, stdout=True)
 
 
 def _cmd_localize(args) -> None:
@@ -296,7 +290,7 @@ def _cmd_localize(args) -> None:
         for rank, (name, d) in enumerate(
                 adifa.localize(result, args.top), start=1):
             rows.append([str(i), str(rank), name, repr(d)])
-    _write_rows(args.output, rows)
+    persist.write_rows(args.output, rows, stdout=True)
 
 
 def _cmd_inject(args) -> None:
@@ -308,8 +302,8 @@ def _cmd_inject(args) -> None:
     documents, labels, records = make_anomalous_corpus(
         corpus, schema, spec, fraction_anomalous=args.fraction, row_ids=ids)
     _write_corpus(args.output, documents, ids)
-    _write_rows(Path(args.output) / "labels.csv",
-                [["row_id", "label"], *zip(ids, labels)])
+    persist.write_rows(Path(args.output) / "labels.csv",
+                       [["row_id", "label"], *zip(ids, labels)])
     if args.truth_out:
         persist.write(args.truth_out, "truth", {"records": records})
 
@@ -347,7 +341,7 @@ def _cmd_evaluate(args) -> None:
     for tag, result in zip(tags, results):
         log.info("%s mean AUC %.4f", tag, result.mean_auc)
     header = ["algorithm"] + [f"fold_{i}" for i in range(10)] + ["mean"]
-    _write_rows(report_dir / "folds.csv", [header] + [
+    persist.write_rows(report_dir / "folds.csv", [header] + [
         [tag] + [repr(a) for a in result.fold_aucs] + [repr(result.mean_auc)]
         for tag, result in zip(tags, results)])
     if len(tags) >= 2:
@@ -362,11 +356,11 @@ def _cmd_evaluate(args) -> None:
         for i, tag in enumerate(tags):
             lines.append(tag + "\t"
                          + "\t".join(sym[c] for c in report.pairwise[i]))
-        (report_dir / "significance.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8")
+        with persist.create_text(report_dir / "significance.txt") as fh:
+            fh.write("\n".join(lines) + "\n")
     for tag, result in zip(tags, results):
-        _write_rows(report_dir / f"roc_{tag}.csv", [["fpr", "tpr"]] + [
-            [repr(fpr), repr(tpr)] for fpr, tpr in result.roc.points])
+        persist.write_rows(report_dir / f"roc_{tag}.csv", [["fpr", "tpr"]]
+                           + [list(map(repr, p)) for p in result.roc.points])
 
 
 def _cmd_learning_curve(args) -> None:
@@ -374,8 +368,8 @@ def _cmd_learning_curve(args) -> None:
     _check_tag(args.algo)
     dataset = FlatDataset.from_csv(args.dataset)
     points = evaluate.learning_curve(dataset, args.algo, seed=args.seed)
-    _write_rows(args.output, [["train_size", "auc"]] + [
-        [str(size), repr(value)] for size, value in points])
+    persist.write_rows(args.output, [["train_size", "auc"]] + [
+        [str(size), repr(value)] for size, value in points], stdout=True)
 
 
 _COMMANDS = {

@@ -11,6 +11,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 
 import numpy as np
 
@@ -72,17 +73,12 @@ class FlatDataset:
     labels: tuple = None  # optional per-row "normal"/"anomalous"
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = list(self.column_names)
-            if self.labels is not None:
-                header.append("label")
-            writer.writerow(header)
-            for i, row in enumerate(self.rows):
-                cells = [repr(float(v)) for v in row]
-                if self.labels is not None:
-                    cells.append(self.labels[i])
-                writer.writerow(cells)
+        header = list(self.column_names)
+        rows = ([repr(float(v)) for v in row] for row in self.rows)
+        if self.labels is not None:
+            header.append("label")
+            rows = (cells + [label] for cells, label in zip(rows, self.labels))
+        persist.write_rows(path, chain([header], rows))
 
     @classmethod
     def from_csv(cls, path) -> "FlatDataset":

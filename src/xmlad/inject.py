@@ -14,7 +14,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 
-from . import persist
 from .errors import EmptyCorpus, MalformedXml
 from .extract import local_name
 from .payloads import (CDATA_PAYLOADS, XPATH_PAYLOADS, XSS_PAYLOADS,
@@ -207,12 +206,3 @@ def make_anomalous_corpus(corpus, schema: SchemaVector, spec: InjectionSpec,
             records.append(InjectionRecord(document_id=rid, injections=[],
                                            label="normal"))
     return documents, labels, records
-
-
-def records_to_text(records) -> str:
-    return persist.dumps("truth", {"records": records})
-
-
-def records_from_text(text: str):
-    return persist.loads("truth", text, lambda body: persist.decode(
-        list[InjectionRecord], body["records"]))

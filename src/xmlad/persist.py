@@ -1,7 +1,9 @@
-"""Versioned, digest-checked structured-text containers.
+"""Every file xmlad reads or writes, and its versioned artifact format.
 
-Every artifact the pipeline writes (.xadschema, .xadfm, .xaddict, .xadmodel,
-.xadtruth) is a three-part text file:
+`open_text` reads a file, or stdin, as strict UTF-8 with universal
+newlines.  `create_text` writes a file, or stdout, as UTF-8 with "\n" line
+ends, and replaces a regular file whole or not at all.  Every artifact
+(.xadschema, .xadfm, .xaddict, .xadmodel, .xadtruth) is a three-part text:
 
     xmlad-<kind> v1
     sha256:<hex digest of the body>
@@ -23,6 +25,7 @@ so a digest-valid body that lacks a key or holds the wrong shape is
 reported as `CorruptFile` in one place.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -100,30 +103,53 @@ def loads(kind: str, text: str, build=None):
         raise CorruptFile(f"unreadable {kind} body: {exc!r}") from None
 
 
-def write(path, kind: str, body) -> None:
-    """Write whole or not at all: a failure leaves the old file as it was."""
-    text = dumps(kind, body)
-    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"  # renamed onto path
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")  # the mode of "w"
+@contextmanager
+def create_text(path, stdout=False):
+    """A file, or stdout for `-` if `stdout` is set, written as UTF-8 with
+    "\n" line ends.  A new or regular file is replaced whole or not at all,
+    by a temporary beside it that is renamed onto it when the block ends;
+    any other file, such as a FIFO, is written in place."""
+    tmp = None
+    if stdout and path == "-":
+        sys.stdout.flush()  # what was printed goes out first
+        path = sys.stdout.fileno()
+    elif not os.path.exists(path) or os.path.isfile(path):
+        path = os.path.realpath(path)  # a symlink stays; its file is replaced
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp or path, "x" if tmp else "w", encoding="utf-8", newline="\n",
+              closefd=not isinstance(path, int))  # "x": the mode of "w"
     try:
         with fh:
-            fh.write(text)
-        os.replace(tmp, path)
+            yield fh
+        if tmp:
+            os.replace(tmp, path)
     except BaseException:
-        os.remove(tmp)
+        if tmp:
+            os.remove(tmp)
         raise
+
+
+def write(path, kind: str, body) -> None:
+    text = dumps(kind, body)
+    with create_text(path) as fh:
+        fh.write(text)
+
+
+def write_rows(path, rows, stdout=False) -> None:
+    with create_text(path, stdout) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 @contextmanager
 def open_text(path, stdin=False):
     """A file, or stdin for `-` if `stdin` is set, as strict UTF-8 with
-    universal newlines; a ValueError in the block is CorruptFile naming it."""
+    universal newlines; a bad value in the block is CorruptFile naming it."""
     use_stdin = stdin and path == "-"
     try:
         with open(sys.stdin.fileno() if use_stdin else path, encoding="utf-8",
                   closefd=not use_stdin) as fh:
             yield fh
-    except ValueError as exc:  # undecodable bytes, or a value not parsed
+    except (ValueError, csv.Error) as exc:  # undecodable, unparsed, too long
         raise CorruptFile(f"{path}: {exc}") from None
 
 

@@ -299,6 +299,35 @@ def _inject_repeated_name(ws):
             "--anomaly-index", "0.2", "--fraction", "0.5"]
 
 
+def _inject_colliding_names(ws):
+    """A manifest of m/a and m/a.xml: two row ids that `inject` would
+    write to one a.xml."""
+    _pipeline(ws, count=10)
+    (ws / "m").mkdir()
+    for i, name in enumerate(["a", "a.xml"]):
+        (ws / "m" / name).write_bytes(
+            (ws / "normal" / f"doc{i}.xml").read_bytes())
+    (ws / "manifest.txt").write_text(f"{ws}/m/a\n{ws}/m/a.xml\n",
+                                     encoding="utf-8")
+    return ["inject", "--schema", str(ws / "s.xadschema"),
+            "--in", str(ws / "manifest.txt"), "--out", str(ws / "x"),
+            "--anomaly-index", "0.2"]
+
+
+# longer than the csv module's field size limit of 131,072 characters
+_LONG_FIELD = '"' + "x" * 200_000 + '"'
+
+
+def _labels_long_field(ws):
+    _pipeline(ws, count=10)
+    text = (ws / "injected" / "labels.csv").read_text(encoding="utf-8")
+    (ws / "long.csv").write_text(text + f"{_LONG_FIELD},normal\n",
+                                 encoding="utf-8")
+    return ["flatten", str(ws / "fm.xadfm"), "--schema",
+            str(ws / "s.xadschema"), "-o", str(ws / "o.csv"),
+            "--labels", str(ws / "long.csv")]
+
+
 def _with_nan(dataset: Path, out: Path) -> Path:
     """A copy of a flattened dataset with its fourth row's first cell nan."""
     with open(dataset, newline="") as fh:
@@ -580,6 +609,9 @@ _DATA_ERRORS = {
     "flatten-unknown-label": _labels_unknown,
     "flatten-label-twice": _labels_twice,
     "inject-repeated-name": _inject_repeated_name,
+    "inject-colliding-names": _inject_colliding_names,
+    "train-long-field": lambda ws: _train_on(ws, f"a,b\n1.0,{_LONG_FIELD}\n"),
+    "flatten-labels-long-field": _labels_long_field,
     "model-null-array": lambda ws: _edited_model(
         ws, "pga", lambda b: b.update(training_points=None)),
     "model-rank2-lrd": lambda ws: _edited_model(
@@ -766,3 +798,26 @@ def test_schema_parse_stdin_reads_as_path(tmp_path):
                         "-", "-o", str(tmp_path / "b")],
                        stdin=fh, env=env, check=True)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-8"])
+def test_stdout_bytes_match_file(tmp_path, encoding):
+    """`-o -` writes the bytes `-o FILE` writes, whatever the encoding of
+    stdout, with a column name that is not ASCII."""
+    rng = np.random.default_rng(7)
+    make_dataset(rng.normal(size=(60, 3)), ("Doc/Größe#max", "b", "c"),
+                 ["normal"] * 45 + ["anomalous"] * 15).to_csv(
+        tmp_path / "d.csv")
+    dataset, model = str(tmp_path / "d.csv"), str(tmp_path / "m")
+    assert run(["train", "--dataset", dataset, "-o", model]) == 0
+    env = {**os.environ, "PYTHONIOENCODING": encoding,
+           "PYTHONPATH": str(Path(xmlad.__file__).parents[1])}
+    for argv in (["score", "--model", model, "--dataset", dataset,
+                  "--localize", "3"],
+                 ["localize", "--model", model, "--dataset", dataset],
+                 ["learning-curve", "--dataset", dataset]):
+        assert run([*argv, "-o", str(tmp_path / "out.csv")]) == 0
+        piped = subprocess.run([sys.executable, "-m", "xmlad.cli", *argv,
+                                "-o", "-"], env=env, check=True,
+                               capture_output=True).stdout
+        assert piped == (tmp_path / "out.csv").read_bytes()

@@ -3,10 +3,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from xmlad import persist
 from xmlad.inject import (ALL_CLASSES, AttackClass, InjectionRecord,
                           InjectionSpec, inject_document,
-                          make_anomalous_corpus, records_from_text,
-                          records_to_text)
+                          make_anomalous_corpus)
 from xmlad.payloads import load_leakage_sentences
 from xmlad.schema import parse_xsd
 from xmlad.synth import demo_params, demo_schema_xsd, generate_normal_corpus
@@ -152,5 +152,6 @@ def test_records_round_trip():
     records = [InjectionRecord("0", [("Xss", "A/B", "abc123")], "anomalous",
                                False, 1),
                InjectionRecord("1", [], "normal")]
-    text = records_to_text(records)
-    assert records_from_text(text) == records
+    text = persist.dumps("truth", {"records": records})
+    assert persist.loads("truth", text, lambda body: persist.decode(
+        list[InjectionRecord], body["records"])) == records

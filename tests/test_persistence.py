@@ -1,5 +1,7 @@
 import errno
+import os
 import random
+import stat
 from functools import partial
 
 import numpy as np
@@ -8,11 +10,12 @@ import pytest
 from conftest import PAYMENT_XSD, container, make_dataset, score_and_label
 from xmlad import adifa, persist
 from xmlad.baselines import gde_train, lof_train, pga_train
+from xmlad.cli import run
 from xmlad.errors import CorruptFile, NonFiniteData, VersionMismatch
 from xmlad.extract import (FeatureMatrix, MeasurementVector,
                            build_feature_matrix, extract_row)
 from xmlad.flatten import TfIdfDictionary, build_dictionary, flatten_row
-from xmlad.inject import InjectionRecord, records_from_text, records_to_text
+from xmlad.inject import InjectionRecord
 from xmlad.model_io import load_model, save_model
 from xmlad.schema import (AbstractType, ElementDescriptor, SchemaVector,
                           parse_xsd)
@@ -70,23 +73,101 @@ def _replace_fails(monkeypatch):
     monkeypatch.setattr(persist.os, "replace", fail)
 
 
-@pytest.mark.parametrize("value,fault,error", [
-    (float("nan"), None, NonFiniteData),
-    (float("inf"), None, NonFiniteData),
-    (2.0, _disk_full, OSError),
-    (2.0, _replace_fails, OSError),
-], ids=["nan", "inf", "write-oserror", "replace-oserror"])
-def test_failed_write_leaves_existing_file(tmp_path, monkeypatch, value,
-                                           fault, error):
-    path = tmp_path / "a.xaddemo"
-    persist.write(path, "demo", {"a": 1.0})
-    before = path.read_bytes()
+def _artifact(path, value):
+    persist.write(path, "demo", {"a": [2.0, value]})
+
+
+def _to_csv(path, value):
+    make_dataset([[2.0, value]]).to_csv(path)
+
+
+@pytest.mark.parametrize("write,value,fault,error", [
+    (_artifact, float("nan"), None, NonFiniteData),
+    (_artifact, float("inf"), None, NonFiniteData),
+    (_artifact, 2.0, _disk_full, OSError),
+    (_artifact, 2.0, _replace_fails, OSError),
+    (_to_csv, 2.0, _disk_full, OSError),
+    (_to_csv, 2.0, _replace_fails, OSError),
+], ids=["nan", "inf", "write-oserror", "replace-oserror",
+        "to_csv-write-oserror", "to_csv-replace-oserror"])
+def test_failed_write_leaves_existing_file(tmp_path, monkeypatch, write,
+                                           value, fault, error):
+    path = tmp_path / "a"
+    path.write_bytes(b"before\n")
     if fault:
         fault(monkeypatch)
     with pytest.raises(error):
-        persist.write(path, "demo", {"a": [2.0, value]})
-    assert path.read_bytes() == before
+        write(path, value)
+    assert path.read_bytes() == b"before\n"
     assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
+
+
+def _cli_inputs(ws):
+    """A labelled 40-row dataset, a pga model trained on it and a schema."""
+    rng = np.random.default_rng(3)
+    make_dataset(rng.normal(size=(40, 3)),
+                 labels=["normal", "anomalous"] * 20).to_csv(ws / "d.csv")
+    assert run(["train", "--dataset", str(ws / "d.csv"), "--algo", "pga",
+                "-o", str(ws / "m")]) == 0
+    parse_xsd(PAYMENT_XSD).save(ws / "s")
+
+
+# an output file of each CLI writer, and the command that writes it first
+CLI_OUTPUTS = {
+    "score": ("scores.csv", lambda ws, out: [
+        "score", "--model", str(ws / "m"), "--dataset", str(ws / "d.csv"),
+        "-o", str(out / "scores.csv")]),
+    "evaluate": ("folds.csv", lambda ws, out: [
+        "evaluate", "--dataset", str(ws / "d.csv"), "--algos", "pga",
+        "--report", str(out)]),
+    "corpus": ("doc0.xml", lambda ws, out: [
+        "gen-corpus", "--schema", str(ws / "s"), "-n", "2",
+        "--out", str(out)]),
+}
+
+
+@pytest.mark.parametrize("fault", [_disk_full, _replace_fails],
+                         ids=["write-oserror", "replace-oserror"])
+@pytest.mark.parametrize("command", list(CLI_OUTPUTS))
+def test_failed_cli_write_leaves_existing_file(tmp_path, monkeypatch,
+                                               capsys, command, fault):
+    _cli_inputs(tmp_path)
+    name, argv = CLI_OUTPUTS[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(b"before\n")
+    fault(monkeypatch)
+    assert run(argv(tmp_path, out)) == 2
+    assert "xmlad: [Errno" in capsys.readouterr().err
+    assert (out / name).read_bytes() == b"before\n"
+    assert list(out.iterdir()) == [out / name]  # no temporary file is left
+
+
+@pytest.mark.parametrize("write", [_artifact, _to_csv],
+                         ids=["artifact", "to_csv"])
+def test_write_to_fifo_keeps_it(tmp_path, write):
+    fifo = tmp_path / "f"
+    os.mkfifo(fifo)
+    write(tmp_path / "a", 1.0)
+    # a reader opened first, so that opening the FIFO to write won't block
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write(fifo, 1.0)  # fewer bytes than the pipe holds
+        received = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert received == (tmp_path / "a").read_bytes()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "a", fifo]
+
+
+def test_write_through_symlink_keeps_it(tmp_path):
+    (tmp_path / "a").write_bytes(b"before\n")
+    (tmp_path / "link").symlink_to("a")
+    persist.write(tmp_path / "link", "demo", {"a": 1.0})
+    assert (tmp_path / "link").is_symlink()
+    assert (tmp_path / "a").read_text() == persist.dumps("demo", {"a": 1.0})
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "a", tmp_path / "link"]
 
 
 def test_write_gives_the_mode_of_a_plain_open(tmp_path):
@@ -172,7 +253,12 @@ def test_baseline_model_round_trips(tmp_path, trainer, kind):
 
 
 def _save_truth(records, path):
-    path.write_text(records_to_text(records), encoding="utf-8")
+    persist.write(path, "truth", {"records": records})
+
+
+def _load_truth(path):
+    return persist.read(path, "truth", lambda body: persist.decode(
+        list[InjectionRecord], body["records"]))
 
 
 # the v1 body of each non-model kind written through the dataclass codec
@@ -210,8 +296,7 @@ ARTIFACTS = {
              '"terms":["wire","urgent"]}'),
     "truth": ([InjectionRecord("d0", [("Xss", "P/Name", "0123456789ab")],
                                "anomalous", False, 1),
-               InjectionRecord("d1", [], "normal")], _save_truth,
-              lambda path: records_from_text(path.read_text("utf-8")),
+               InjectionRecord("d1", [], "normal")], _save_truth, _load_truth,
               '{"records":[{"document_id":"d0","injections":'
               '[["Xss","P/Name","0123456789ab"]],"label":"anomalous",'
               '"requested":1,"shortfall":false},{"document_id":"d1",'

@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from xmlad import persist
 from xmlad.errors import MissingParams
 from xmlad.extract import build_feature_matrix
 from xmlad.flatten import build_dictionary, flatten_matrix
-from xmlad.inject import InjectionSpec, make_anomalous_corpus, records_to_text
+from xmlad.inject import InjectionSpec, make_anomalous_corpus
 from xmlad.schema import AbstractType, parse_xsd
 from xmlad.synth import (NumericParams, demo_params, demo_schema_xsd,
                          generate_normal_corpus, params_from_obj)
@@ -149,5 +150,6 @@ def test_seeded_corpus_bytes_are_pinned(xsd, digest):
                                   seed=3)
     mixed, _, records = make_anomalous_corpus(
         docs, schema, InjectionSpec(anomaly_index=0.3, seed=3), 0.5)
-    text = "\n".join(docs + mixed) + "\n" + records_to_text(records)
+    text = ("\n".join(docs + mixed) + "\n"
+            + persist.dumps("truth", {"records": records}))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

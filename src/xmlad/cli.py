@@ -7,22 +7,20 @@ stderr; data goes to files or stdout only.
 import argparse
 import csv
 import json
-import logging
 import os
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
 
 from . import adifa, model_io, persist, synth
-from .errors import CorruptFile, XmladError
+from .errors import CorruptFile, SchemaMismatch, XmladError
 from .extract import FeatureMatrix, build_feature_matrix
 from .flatten import (DEFAULT_TFIDF_K, LABELS, FlatDataset,
                       TfIdfDictionary, build_dictionary, flatten_matrix)
 from .inject import ALL_CLASSES, AttackClass, InjectionSpec, \
     make_anomalous_corpus
 from .schema import SchemaVector, parse_xsd
-
-log = logging.getLogger("xmlad")
 
 
 class UsageError(Exception):
@@ -93,8 +91,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("schema-parse", help="parse an XSD into a .xadschema")
     p.add_argument("xsd", help="XSD file path, or - for stdin")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--no-attributes", action="store_true",
-                   help="skip XML attribute descriptors")
 
     p = sub.add_parser("extract", help="extract a corpus into a .xadfm")
     p.add_argument("corpus", help="directory of .xml files or a manifest")
@@ -193,11 +189,14 @@ def _parse_classes(arg):
     return tuple(classes)
 
 
+def _warn(message: str) -> None:
+    print(f"WARNING xmlad: {message}", file=sys.stderr)
+
+
 def _cmd_schema_parse(args) -> None:
-    schema = parse_xsd(persist.read_text(args.xsd, stdin=True),
-                       include_attributes=not args.no_attributes)
+    schema = parse_xsd(persist.read_text(args.xsd, stdin=True))
     for path, message in schema.issues:
-        log.warning("schema issue at %s: %s", path, message)
+        _warn(f"schema issue at {path}: {message}")
     schema.save(args.output)
 
 
@@ -206,7 +205,7 @@ def _cmd_extract(args) -> None:
     corpus, ids = _load_corpus(args.corpus)
     matrix = build_feature_matrix(corpus, schema, row_ids=ids)
     for rid, message in matrix.diagnostics:
-        log.warning("skipped %s: %s", rid, message)
+        _warn(f"skipped {rid}: {message}")
     matrix.save(args.output)
 
 
@@ -254,6 +253,16 @@ def _cmd_train(args) -> None:
     model_io.save_model(model, args.output)
 
 
+def _check_columns(model, dataset, path) -> None:
+    """An adifa model scores only a dataset in its own columns; a width
+    that differs is left to the model's shape check."""
+    for i, (own, given) in enumerate(zip(model.column_names,
+                                         dataset.column_names)):
+        if own != given:
+            raise SchemaMismatch(f"{path}: column {i} is {given!r}, but the "
+                                 f"model's is {own!r}")
+
+
 def _cmd_score(args) -> None:
     kind, model = model_io.load_model(args.model)
     dataset = FlatDataset.from_csv(args.dataset)
@@ -262,6 +271,7 @@ def _cmd_score(args) -> None:
         header += [f"localized_{i + 1}", f"localized_{i + 1}_d"]
     rows = [header]
     if kind == "adifa":
+        _check_columns(model, dataset, args.dataset)
         for i, result in enumerate(adifa.classify_batch(model, dataset.rows)):
             cells = [str(i), repr(result.score), repr(result.likelihood),
                      result.label]
@@ -285,6 +295,7 @@ def _cmd_localize(args) -> None:
     if kind != "adifa":
         raise UsageError("localize requires an adifa model")
     dataset = FlatDataset.from_csv(args.dataset)
+    _check_columns(model, dataset, args.dataset)
     rows = [["row", "rank", "column", "likelihood"]]
     for i, result in enumerate(adifa.classify_batch(model, dataset.rows)):
         for rank, (name, d) in enumerate(
@@ -338,15 +349,13 @@ def _cmd_evaluate(args) -> None:
     report_dir.mkdir(parents=True, exist_ok=True)
     results = evaluate.cv_5x2_many(dataset, tags, seed=args.seed,
                                    min_pts=args.lof_min_pts)
-    for tag, result in zip(tags, results):
-        log.info("%s mean AUC %.4f", tag, result.mean_auc)
     header = ["algorithm"] + [f"fold_{i}" for i in range(10)] + ["mean"]
     persist.write_rows(report_dir / "folds.csv", [header] + [
         [tag] + [repr(a) for a in result.fold_aucs] + [repr(result.mean_auc)]
         for tag, result in zip(tags, results)])
     if len(tags) >= 2:
         matrix = [[r.fold_aucs[i] for r in results] for i in range(10)]
-        report = evaluate.friedman_bonferroni(matrix, reference=0)
+        report = evaluate.friedman_bonferroni(matrix)
         sym = {"better": "+", "worse": "-", "equal": "="}
         lines = [f"friedman_p {report.friedman_p!r}",
                  f"critical_difference {report.critical_difference!r}",
@@ -387,10 +396,6 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=os.environ.get("XMLAD_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
@@ -408,6 +413,9 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # a reader that closes stdout's pipe ends xmlad as it ends cat
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -97,7 +97,6 @@ def roc_curve(scores, labels) -> RocCurve:
 class CvResult:
     fold_aucs: tuple  # 10 values: 5 repetitions x 2 folds
     mean_auc: float
-    seed: int
     roc: RocCurve  # of fold 0: repetition 0, trained on its first half
 
 
@@ -105,7 +104,6 @@ def _subset(dataset: FlatDataset, idx) -> FlatDataset:
     return FlatDataset(
         column_names=dataset.column_names,
         rows=dataset.rows[idx],
-        column_meta=dataset.column_meta,
         labels=tuple(dataset.labels[i] for i in idx)
         if dataset.labels is not None else None)
 
@@ -168,7 +166,7 @@ def cv_5x2_many(dataset: FlatDataset, tags, seed: int = 0,
             else:
                 fold_aucs[i].append(auc(scores, y))
     return tuple(CvResult(fold_aucs=tuple(a), mean_auc=float(np.mean(a)),
-                          seed=seed, roc=roc)
+                          roc=roc)
                  for a, roc in zip(fold_aucs, rocs))
 
 
@@ -202,14 +200,15 @@ class SignificanceReport:
     friedman_p: float
     mean_ranks: tuple
     critical_difference: float
-    post_hoc: tuple  # vs reference: "better" | "worse" | "equal"
     pairwise: tuple  # k x k of "better" | "worse" | "equal"
 
 
-def friedman_bonferroni(auc_matrix, reference: int = 0,
-                        alpha: float = 0.05) -> SignificanceReport:
+SIGNIFICANCE = 0.05  # of the Friedman test and of each pairwise comparison
+
+
+def friedman_bonferroni(auc_matrix) -> SignificanceReport:
     """Average-rank Friedman test in its F-distribution form, followed by
-    Bonferroni-corrected rank comparisons against the reference column.
+    Bonferroni-corrected rank comparisons between every pair of columns.
 
     A "better" in cell (i, j) means classifier j significantly outranks
     classifier i.
@@ -232,9 +231,9 @@ def friedman_bonferroni(auc_matrix, reference: int = 0,
         f_stat = (n_data - 1) * chi2 / denom
         friedman_p = float(stats.f.sf(f_stat, k - 1, (k - 1) * (n_data - 1)))
 
-    z = stats.norm.ppf(1.0 - alpha / (2.0 * (k - 1)))
+    z = stats.norm.ppf(1.0 - SIGNIFICANCE / (2.0 * (k - 1)))
     cd = float(z * np.sqrt(k * (k + 1) / (6.0 * n_data)))
-    rejected = friedman_p < alpha
+    rejected = friedman_p < SIGNIFICANCE
 
     def outcome(rank_i, rank_j):
         # how classifier j compares against classifier i
@@ -246,8 +245,7 @@ def friedman_bonferroni(auc_matrix, reference: int = 0,
                            for j in range(k)) for i in range(k))
     return SignificanceReport(friedman_p=friedman_p,
                               mean_ranks=tuple(float(r) for r in mean_ranks),
-                              critical_difference=cd,
-                              post_hoc=pairwise[reference], pairwise=pairwise)
+                              critical_difference=cd, pairwise=pairwise)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ class TfIdfDictionary:
 class FlatDataset:
     column_names: tuple
     rows: np.ndarray  # m x p, float64
-    column_meta: tuple  # per column (descriptor path or "", aggregate kind)
+    column_meta: tuple = ()  # read by nothing; perfbench still passes it
     labels: tuple = None  # optional per-row "normal"/"anomalous"
 
     def to_csv(self, path) -> None:
@@ -107,15 +107,7 @@ class FlatDataset:
         data = (np.array(rows, dtype=float) if rows
                 else np.empty((0, len(names))))
         return cls(column_names=names, rows=data,
-                   column_meta=tuple(_meta_from_name(n) for n in names),
                    labels=tuple(labels) if has_label else None)
-
-
-def _meta_from_name(name: str):
-    path, _, kind = name.partition("#")
-    if path in ("parse_failures", "tfidf"):
-        return ("", f"{path}:{kind}" if path == "tfidf" else path)
-    return (path, kind)
 
 
 def _token_counts(texts) -> Counter:
@@ -180,7 +172,7 @@ def column_plan(schema: SchemaVector, dictionary: TfIdfDictionary):
     names = [f"{desc.path}#{kind}" for desc in schema.descriptors
              for kind in _aggregates(desc)]
     names += ["parse_failures#count"] + [f"tfidf#{t}" for t in dictionary.terms]
-    return tuple(names), tuple(map(_meta_from_name, names))
+    return tuple(names)
 
 
 def expected_width(schema: SchemaVector, k_selected: int) -> int:
@@ -227,7 +219,7 @@ def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
 def flatten_matrix(matrix: FeatureMatrix, schema: SchemaVector,
                    dictionary: TfIdfDictionary, labels=None) -> FlatDataset:
     _check_schema(matrix, schema)
-    names, meta = column_plan(schema, dictionary)
+    names = column_plan(schema, dictionary)
     rows = []
     for rid, row in zip(matrix.row_ids, matrix.rows):
         try:
@@ -235,5 +227,5 @@ def flatten_matrix(matrix: FeatureMatrix, schema: SchemaVector,
         except SchemaMismatch as exc:
             raise SchemaMismatch(f"row {rid}: {exc}")
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-    return FlatDataset(column_names=names, rows=data, column_meta=meta,
+    return FlatDataset(column_names=names, rows=data,
                        labels=tuple(labels) if labels is not None else None)

@@ -29,6 +29,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -107,19 +108,26 @@ def loads(kind: str, text: str, build=None):
 def create_text(path, stdout=False):
     """A file, or stdout for `-` if `stdout` is set, written as UTF-8 with
     "\n" line ends.  A new or regular file is replaced whole or not at all,
-    by a temporary beside it that is renamed onto it when the block ends;
-    any other file, such as a FIFO, is written in place."""
-    tmp = None
+    by a temporary beside it that is renamed onto it when the block ends
+    and that keeps a replaced file's mode; any other file, such as a FIFO,
+    is written in place."""
+    tmp, given = None, os.fspath(path)
     if stdout and path == "-":
         sys.stdout.flush()  # what was printed goes out first
         path = sys.stdout.fileno()
     elif not os.path.exists(path) or os.path.isfile(path):
         path = os.path.realpath(path)  # a symlink stays; its file is replaced
         tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp or path, "x" if tmp else "w", encoding="utf-8", newline="\n",
-              closefd=not isinstance(path, int))  # "x": the mode of "w"
+    try:  # "x": a new file gets the mode of "w"
+        fh = open(tmp or path, "x" if tmp else "w", encoding="utf-8",
+                  newline="\n", closefd=not isinstance(path, int))
+    except OSError as exc:
+        exc.filename = given  # the path asked for, not the temporary
+        raise
     try:
         with fh:
+            if tmp and os.path.exists(path):
+                shutil.copymode(path, tmp)
             yield fh
         if tmp:
             os.replace(tmp, path)

@@ -93,7 +93,6 @@ class SchemaVector:
 
 @dataclass
 class _Parser:
-    include_attributes: bool = True
     descriptors: list = field(default_factory=list)
     issues: list = field(default_factory=list)
     seen_paths: set = field(default_factory=set)
@@ -240,8 +239,6 @@ class _Parser:
                 self.issue(path, "xsd:group is not supported")
 
     def visit_attributes(self, parent, path, type_stack):
-        if not self.include_attributes:
-            return
         for attr in parent.findall(_xs("attribute")):
             aname = attr.get("name")
             if not aname:
@@ -277,7 +274,7 @@ def _occurs_bounds(decl):
                               f"bounds {lo_raw!r}..{hi_raw!r}") from None
 
 
-def parse_xsd(xsd_text: str, include_attributes: bool = True) -> SchemaVector:
+def parse_xsd(xsd_text: str) -> SchemaVector:
     """Parse an XSD document into a SchemaVector.
 
     Unsupported constructs are recorded on the result's issue list and the
@@ -288,7 +285,7 @@ def parse_xsd(xsd_text: str, include_attributes: bool = True) -> SchemaVector:
         root = ET.fromstring(xsd_text)
     except ET.ParseError as exc:
         raise MalformedSchema(f"unparseable XSD: {exc}")
-    parser = _Parser(include_attributes=include_attributes)
+    parser = _Parser()
     if root.tag != _xs("schema"):
         raise MalformedSchema(f"root element is {root.tag!r}, not xsd:schema")
     for child in root:

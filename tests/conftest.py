@@ -13,7 +13,6 @@ def make_dataset(rows, column_names=None, labels=None):
     if column_names is None:
         column_names = tuple(f"c{j}" for j in range(rows.shape[1]))
     return FlatDataset(column_names=tuple(column_names), rows=rows,
-                       column_meta=tuple(("", n) for n in column_names),
                        labels=tuple(labels) if labels is not None else None)
 
 

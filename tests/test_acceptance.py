@@ -314,7 +314,7 @@ def test_acceptance_statistics_oracles():
 
     M = np.array([[0.99 - 0.02 * j + rng.uniform(0, 0.001)
                    for j in range(7)] for _ in range(30)])
-    dom = evaluate.friedman_bonferroni(M, reference=0)
+    dom = evaluate.friedman_bonferroni(M)
     cd_hand = stats.norm.ppf(1 - 0.05 / 12) * math.sqrt(7 * 8 / (6.0 * 30))
     ok = ok and dom.friedman_p < 0.05
     ok = ok and abs(dom.critical_difference - cd_hand) < 1e-12

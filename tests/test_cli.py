@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -528,6 +529,36 @@ def _xsd_latin_1_stdin(ws):
     return ["schema-parse", "-", "-o", str(ws / "o.xadschema")]
 
 
+def _own_dictionary(ws):
+    """A gm model and a dataset of other documents flattened with their own
+    dictionary: as wide as the model's, with other tfidf# terms."""
+    _pipeline(ws, count=20)
+    assert run(["train", "--dataset", str(ws / "d.csv"),
+                "-o", str(ws / "m.xadmodel")]) == 0
+    assert run(["--seed", "1", "gen-corpus", "--schema",
+                str(ws / "s.xadschema"), "-n", "20",
+                "--out", str(ws / "other")]) == 0
+    assert run(["extract", str(ws / "other"), "--schema",
+                str(ws / "s.xadschema"), "-o", str(ws / "other.xadfm")]) == 0
+    assert run(["flatten", str(ws / "other.xadfm"), "--schema",
+                str(ws / "s.xadschema"), "-o", str(ws / "other.csv")]) == 0
+    return ["score", "--model", str(ws / "m.xadmodel"),
+            "--dataset", str(ws / "other.csv"), "-o", str(ws / "o.csv")]
+
+
+def _reversed_columns(ws):
+    """A gm model and its training dataset with the columns reversed."""
+    _pipeline(ws, count=20)
+    assert run(["train", "--dataset", str(ws / "d.csv"),
+                "-o", str(ws / "m.xadmodel")]) == 0
+    with open(ws / "d.csv", newline="") as fh:
+        rows = [row[-2::-1] + row[-1:] for row in csv.reader(fh)]
+    with open(ws / "reversed.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return ["localize", "--model", str(ws / "m.xadmodel"),
+            "--dataset", str(ws / "reversed.csv"), "-o", str(ws / "o.csv")]
+
+
 def _run(argv, ws):
     """`run(argv)`, with the workspace's file `stdin`, if a case wrote one,
     as standard input, opened as the interpreter opens its own on POSIX
@@ -641,6 +672,8 @@ _DATA_ERRORS = {
     "inject-latin-1-payload-corpus": _inject_latin_1_payloads,
     "extract-non-utf-8-name": lambda ws: _non_utf_8_name(ws, "extract"),
     "inject-non-utf-8-name": lambda ws: _non_utf_8_name(ws, "inject"),
+    "score-own-dictionary": _own_dictionary,
+    "localize-reversed-columns": _reversed_columns,
 }
 
 
@@ -786,6 +819,22 @@ def test_schema_parse_from_path(tmp_path):
     assert out.read_text().startswith("xmlad-schema v1\n")
 
 
+def test_warnings_reach_current_stderr(tmp_path, capsys, monkeypatch):
+    """Each in-process run prints its warnings to the stderr of that run,
+    and no environment variable sets a level that could fail the run."""
+    monkeypatch.setenv("XMLAD_LOG", "bogus")
+    xsd = tmp_path / "any.xsd"
+    xsd.write_text(PAYMENT_XSD.replace(
+        '<xsd:element name="Name" type="xsd:string"/>', "<xsd:any/>"),
+        encoding="utf-8")
+    for _ in range(2):
+        assert run(["schema-parse", str(xsd),
+                    "-o", str(tmp_path / "s.xadschema")]) == 0
+        assert capsys.readouterr().err == ("WARNING xmlad: schema issue at "
+                                           "Payment: xsd:any is not "
+                                           "supported\n")
+
+
 def test_schema_parse_stdin_reads_as_path(tmp_path):
     """A CRLF XSD piped to a real standard input gives the bytes of the
     .xadschema that reading it from its path gives."""
@@ -821,3 +870,23 @@ def test_stdout_bytes_match_file(tmp_path, encoding):
                                 "-o", "-"], env=env, check=True,
                                capture_output=True).stdout
         assert piped == (tmp_path / "out.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_pipe_ends_silently(tmp_path):
+    """A reader that closes the pipe after one line ends `xmlad score` as
+    it ends `cat`: by SIGPIPE, with nothing on stderr."""
+    rng = np.random.default_rng(5)
+    make_dataset(rng.normal(size=(2000, 3))).to_csv(tmp_path / "d.csv")
+    dataset, model = str(tmp_path / "d.csv"), str(tmp_path / "m")
+    assert run(["train", "--dataset", dataset, "-o", model]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(xmlad.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "xmlad.cli", "score",
+                           "--model", model, "--dataset", dataset,
+                           "--localize", "3", "-o", "-"], env=env,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"row,score,")
+        proc.stdout.close()  # the table is over 64 KB: more than a pipe holds
+        assert proc.stderr.read() == b""
+    assert proc.returncode == -signal.SIGPIPE

@@ -227,7 +227,6 @@ def test_friedman_all_equal():
     report = friedman_bonferroni(M)
     assert report.friedman_p == 1.0
     assert all(c == "equal" for row in report.pairwise for c in row)
-    assert all(c == "equal" for c in report.post_hoc)
 
 
 def test_friedman_total_dominance():
@@ -235,18 +234,15 @@ def test_friedman_total_dominance():
     rng = random.Random("friedman")
     M = np.array([[0.99 - 0.02 * j + rng.uniform(0, 0.001) for j in range(7)]
                   for _ in range(30)])
-    report = friedman_bonferroni(M, reference=0)
+    report = friedman_bonferroni(M)
     assert report.friedman_p < 0.05
     assert report.mean_ranks[0] == 1.0
     assert report.mean_ranks[6] == 7.0
     z = stats.norm.ppf(1.0 - 0.05 / 12)
     cd = z * np.sqrt(7 * 8 / (6.0 * 30))
     assert report.critical_difference == pytest.approx(cd, rel=1e-12)
-    assert report.post_hoc[6] == "worse"  # worst vs the reference
-    assert report.pairwise[6][0] == "better"  # reference outranks the worst
-    for reference in range(7):
-        report = friedman_bonferroni(M, reference=reference)
-        assert report.post_hoc == report.pairwise[reference]
+    assert report.pairwise[0][6] == "worse"  # the worst against the best
+    assert report.pairwise[6][0] == "better"  # the best outranks the worst
 
 
 def test_friedman_antisymmetry():

@@ -33,7 +33,7 @@ def test_boolean_digits_count_as_literals():
     doc = "<T><Flag>1</Flag><Flag> true </Flag><Flag>0</Flag></T>"
     fm = _matrix([doc, "<T><Flag>1</Flag><Flag>yes</Flag></T>"], schema)
     dic = build_dictionary(fm, schema, k=0)
-    names, _ = column_plan(schema, dic)
+    names = column_plan(schema, dic)
     rows = [dict(zip(names, flatten_row(r, schema, dic))) for r in fm.rows]
     assert rows == [
         {"T/Flag#sum[false]": 1.0, "T/Flag#sum[true]": 2.0,
@@ -101,7 +101,7 @@ def test_dictionary_empty_and_clamped(payment_schema):
 def test_expected_width(payment_schema):
     # numeric 3 + enum 3 + string 5 + failure 1 + k
     assert expected_width(payment_schema, 2) == 3 + 3 + 5 + 1 + 2
-    names, meta = column_plan(
+    names = column_plan(
         payment_schema,
         TfIdfDictionary(("x", "y"), (1, 1), 1, 2))
     assert len(names) == expected_width(payment_schema, 2)
@@ -118,7 +118,7 @@ def test_flatten_aggregates(payment_schema):
     fm = _matrix([doc], payment_schema)
     dic = build_dictionary(fm, payment_schema, k=0)
     row = flatten_row(fm.rows[0], payment_schema, dic)
-    names, _ = column_plan(payment_schema, dic)
+    names = column_plan(payment_schema, dic)
     cells = dict(zip(names, row))
     assert cells["Payment/PaymentAmount#min"] == 1.0
     assert cells["Payment/PaymentAmount#max"] == 3.0
@@ -146,7 +146,7 @@ def test_parse_failures_counted_and_excluded(payment_schema):
            "<PaymentAmount>2</PaymentAmount></Payment>")
     fm = _matrix([doc], payment_schema)
     dic = build_dictionary(fm, payment_schema, k=0)
-    names, _ = column_plan(payment_schema, dic)
+    names = column_plan(payment_schema, dic)
     cells = dict(zip(names, flatten_row(fm.rows[0], payment_schema, dic)))
     assert cells["Payment/PaymentAmount#min"] == 2.0
     assert cells["Payment/PaymentAmount#max"] == 2.0
@@ -171,7 +171,7 @@ def _order_cells(doc):
     schema = parse_xsd(ORDER_XSD)
     fm = _matrix([doc], schema)
     dic = build_dictionary(fm, schema, k=0)
-    names, _ = column_plan(schema, dic)
+    names = column_plan(schema, dic)
     return dict(zip(names, flatten_row(fm.rows[0], schema, dic)))
 
 

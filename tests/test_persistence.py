@@ -143,6 +143,20 @@ def test_failed_cli_write_leaves_existing_file(tmp_path, monkeypatch,
     assert list(out.iterdir()) == [out / name]  # no temporary file is left
 
 
+@pytest.mark.parametrize("command", ["score", "train"])
+def test_missing_directory_named(tmp_path, capsys, command):
+    """An output whose directory is missing is named as it was given, not
+    by the temporary written beside it."""
+    _cli_inputs(tmp_path)
+    out = str(tmp_path / "nodir" / "x")
+    argv = {"score": ["score", "--model", str(tmp_path / "m")],
+            "train": ["train"]}[command]
+    capsys.readouterr()
+    assert run([*argv, "--dataset", str(tmp_path / "d.csv"), "-o", out]) == 2
+    assert (capsys.readouterr().err
+            == f"xmlad: [Errno 2] No such file or directory: {out!r}\n")
+
+
 @pytest.mark.parametrize("write", [_artifact, _to_csv],
                          ids=["artifact", "to_csv"])
 def test_write_to_fifo_keeps_it(tmp_path, write):
@@ -171,11 +185,19 @@ def test_write_through_symlink_keeps_it(tmp_path):
 
 
 def test_write_gives_the_mode_of_a_plain_open(tmp_path):
+    """A new file gets the mode a plain open gives it, and a replaced file
+    keeps its own, as a plain open would keep it."""
     persist.write(tmp_path / "a", "demo", {"a": 1.0})
     with open(tmp_path / "b", "w"):
         pass
     assert ((tmp_path / "a").stat().st_mode
             == (tmp_path / "b").stat().st_mode)
+    for write in (_artifact, _to_csv):
+        private = tmp_path / "private"
+        private.write_bytes(b"before\n")
+        private.chmod(0o600)
+        write(private, 1.0)
+        assert stat.S_IMODE(private.stat().st_mode) == 0o600
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

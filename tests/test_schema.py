@@ -124,8 +124,6 @@ def test_attributes_become_descriptors():
     """
     schema = parse_xsd(xsd)
     assert "Tx/@currency" in schema.paths()
-    without = parse_xsd(xsd, include_attributes=False)
-    assert "Tx/@currency" not in without.paths()
 
 
 def test_unsupported_constructs_become_issues():

@@ -162,9 +162,7 @@ def control():
     scale = np.arange(1, 122)
     rows = rng.normal(size=(CONTROL_M, 121)) * scale
     names = tuple(f"c{j}" for j in range(121))
-    data = flatten.FlatDataset(column_names=names, rows=rows,
-                               column_meta=tuple(("", c) for c in names),
-                               labels=None)
+    data = flatten.FlatDataset(column_names=names, rows=rows)
     points = rng.normal(size=(1000, 121)) * scale
     train_s, model = best_of(3, lambda: adifa.train(data, psi="gm"))
     score_s, _ = best_of(3, lambda: adifa.score_batch(model, points))

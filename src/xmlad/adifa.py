@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewRows, check_finite
+from .errors import (DimensionMismatch, NonFiniteData, TooFewRows,
+                     check_finite)
 from .persist import Vector
 
 PSI_TAGS = ("am", "gm", "hm")
@@ -265,8 +266,22 @@ class AdifaModel:
                 or not self.training_scores.size):
             raise ValueError("attribute values and training scores must be"
                              " non-empty columns of one length")
-        self._norms, self._weights = np.array(
-            [(am.norm, am.weight) for am in self.attributes]).T
+        if self.psi not in PSI_TAGS:
+            raise ValueError(f"psi must be one of {PSI_TAGS}, not {self.psi!r}")
+        params = np.array([(am.sigma, am.tau, am.norm, am.weight)
+                           for am in self.attributes])
+        scales = np.append(params[:, :3], [self.meta_sigma, self.meta_tau,
+                                           self.meta_norm, self.calibration_max])
+        # a weight may be 0: compute_weights gives it to a column that holds
+        # all the entropy
+        if not (np.isfinite(params).all() and np.isfinite(scales).all()
+                and (scales > 0).all() and (params[:, 3] >= 0).all()):
+            raise ValueError("sigma, tau, norm and calibration_max must be "
+                             "positive and finite, and weights finite and >= 0")
+        values = np.array([am.values for am in self.attributes])
+        if not (values[:, 1:] >= values[:, :-1]).all():
+            raise ValueError("attribute values must be ascending")
+        self._norms, self._weights = params[:, 2], params[:, 3]
         self._names = np.array(self.column_names, dtype=object)
         self._kernels, self._meta = tables or (
             _KernelTable([am.values for am in self.attributes],
@@ -478,7 +493,11 @@ def train(dataset, psi: str = "gm", threshold: float = 0.5) -> AdifaModel:
     check_finite(X)
 
     columns = X.T.copy()  # C order: each row reduces as a 1-D column
-    sigmas, taus, norms = _fit_kernel(columns)
+    with np.errstate(over="ignore"):  # an overflow leaves a norm of 0
+        sigmas, taus, norms = _fit_kernel(columns)
+    if not (norms > 0).all():
+        raise NonFiniteData(f"column {np.argmin(norms > 0)}: its variance is "
+                            "too large for a float")
     kernels, own = _sorted_table(columns, taus)
     entropies = [attribute_entropy(c) for c in columns]  # sorted columns
     weights = np.array(compute_weights(entropies))

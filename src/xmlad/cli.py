@@ -254,10 +254,14 @@ def _cmd_train(args) -> None:
 
 
 def _check_columns(model, dataset, path) -> None:
-    """An adifa model scores only a dataset in its own columns; a width
-    that differs is left to the model's shape check."""
-    for i, (own, given) in enumerate(zip(model.column_names,
-                                         dataset.column_names)):
+    """A model scores only a dataset of its own width, and an adifa model
+    only one in its own columns; a baseline keeps no column names."""
+    names = getattr(model, "column_names", None)
+    width = model.training_points.shape[1] if names is None else len(names)
+    if len(dataset.column_names) != width:
+        raise SchemaMismatch(f"{path}: {len(dataset.column_names)} columns, "
+                             f"but the model has {width}")
+    for i, (own, given) in enumerate(zip(names or (), dataset.column_names)):
         if own != given:
             raise SchemaMismatch(f"{path}: column {i} is {given!r}, but the "
                                  f"model's is {own!r}")
@@ -265,13 +269,15 @@ def _check_columns(model, dataset, path) -> None:
 
 def _cmd_score(args) -> None:
     kind, model = model_io.load_model(args.model)
+    if args.localize and kind != "adifa":
+        raise UsageError("--localize requires an adifa model")
     dataset = FlatDataset.from_csv(args.dataset)
+    _check_columns(model, dataset, args.dataset)
     header = ["row", "score", "likelihood", "label"]
     for i in range(args.localize):
         header += [f"localized_{i + 1}", f"localized_{i + 1}_d"]
     rows = [header]
     if kind == "adifa":
-        _check_columns(model, dataset, args.dataset)
         for i, result in enumerate(adifa.classify_batch(model, dataset.rows)):
             cells = [str(i), repr(result.score), repr(result.likelihood),
                      result.label]
@@ -279,8 +285,6 @@ def _cmd_score(args) -> None:
                 cells += [name, repr(d)]
             rows.append(cells)
     else:
-        if args.localize:
-            raise UsageError("--localize requires an adifa model")
         algo = next(a for a in model_io.ALGORITHMS.values() if a.kind == kind)
         scores = algo.scores(model, dataset.rows)
         flags = algo.anomalous(model, scores)

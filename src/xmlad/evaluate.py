@@ -11,7 +11,7 @@ query distances per fold.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import baselines
 from .errors import (DegenerateMatrix, LengthMismatch, SingleClass,
@@ -192,7 +192,7 @@ def paired_t_test(a, b) -> float:
     if sd == 0.0:
         return 1.0 if d.mean() <= 0.0 else 0.0
     t = d.mean() / (sd / np.sqrt(len(d)))
-    return float(stats.t.sf(t, len(d) - 1))
+    return float(special.stdtr(len(d) - 1, -t))  # Student's t upper tail
 
 
 @dataclass
@@ -216,9 +216,13 @@ def friedman_bonferroni(auc_matrix) -> SignificanceReport:
     M = np.asarray(auc_matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] < 2 or M.shape[1] < 2:
         raise DegenerateMatrix("need at least 2 datasets and 2 classifiers")
+    check_finite(M)  # a NaN has no rank
     n_data, k = M.shape
-    ranks = np.vstack([stats.rankdata(-row, method="average") for row in M])
-    mean_ranks = ranks.mean(axis=0)
+    # each row's average ranks, largest first: the cells above a cell, and
+    # the middle of the cells it ties with, itself included; exact halves
+    above = (M[:, None, :] > M[:, :, None]).sum(axis=2)
+    ties = (M[:, None, :] == M[:, :, None]).sum(axis=2)
+    mean_ranks = (above + (ties + 1) / 2).mean(axis=0)
 
     chi2 = (12.0 * n_data / (k * (k + 1))
             * (float((mean_ranks ** 2).sum()) - k * (k + 1) ** 2 / 4.0))
@@ -229,9 +233,11 @@ def friedman_bonferroni(auc_matrix) -> SignificanceReport:
         friedman_p = 0.0
     else:
         f_stat = (n_data - 1) * chi2 / denom
-        friedman_p = float(stats.f.sf(f_stat, k - 1, (k - 1) * (n_data - 1)))
+        # the F distribution's upper tail
+        friedman_p = float(special.fdtrc(k - 1, (k - 1) * (n_data - 1),
+                                         f_stat))
 
-    z = stats.norm.ppf(1.0 - SIGNIFICANCE / (2.0 * (k - 1)))
+    z = special.ndtri(1.0 - SIGNIFICANCE / (2.0 * (k - 1)))  # normal quantile
     cd = float(z * np.sqrt(k * (k + 1) / (6.0 * n_data)))
     rejected = friedman_p < SIGNIFICANCE
 
@@ -263,8 +269,8 @@ def learning_curve(dataset: FlatDataset, tag: str, seed: int = 0, **opts):
     anomalous_idx = np.flatnonzero(labels == "anomalous")
     if len(anomalous_idx) == 0:
         raise SingleClass("no anomalous rows")
-    if len(normal_idx) < 20:
-        raise TooFewRows("need at least 20 normal rows")
+    if len(normal_idx) < 31:  # D_1, a tenth of them, trains on 2 rows
+        raise TooFewRows("need at least 31 normal rows")
     rng = np.random.default_rng([seed, 0])
     shuffled = rng.permutation(normal_idx)
     groups = np.array_split(shuffled, 10)

@@ -187,6 +187,11 @@ def test_train_input_validation():
         train(make_dataset([[1.0, np.nan], [2.0, 3.0]]))
     with pytest.raises(ValueError):
         train(make_dataset([[1.0], [2.0]]), psi="median")
+    # sigma = 8e153 is finite, but 2 pi sigma^2 is not, and 1e160^2 is not:
+    # a norm of 0, raised with no numpy warning
+    for big in (8e153, 1e160):
+        with pytest.raises(NonFiniteData, match="^column 1: "):
+            train(make_dataset([[1.0, big], [2.0, -big]]))
 
 
 # -- classification --------------------------------------------------------

@@ -28,14 +28,25 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def test_import_loads_no_scipy():
-    # scipy takes most of a second to import and only `evaluate` needs it
-    code = ("import sys, xmlad, xmlad.cli; print(sorted(m for m in "
-            "sys.modules if m.startswith('scipy')))")
+def _imported(module, prefix):
+    """The modules whose names start with `prefix` that a fresh
+    `import module` loads."""
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+            f"if m.startswith({prefix!r})))")
     env = {**os.environ, "PYTHONPATH": str(Path(xmlad.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy.special takes a few tenths of a second to import, and only
+    # `evaluate`'s significance tests need it
+    assert _imported("xmlad.cli", "scipy") == "[]"
+
+
+def test_evaluate_loads_no_scipy_stats():
+    # scipy.stats would add about 45 MB and a second to every evaluate run
+    assert _imported("xmlad.evaluate", "scipy.stats") == "[]"
 
 
 def _pipeline(ws: Path, seed=0, count=40):
@@ -559,6 +570,20 @@ def _reversed_columns(ws):
             "--dataset", str(ws / "reversed.csv"), "-o", str(ws / "o.csv")]
 
 
+def _narrow(ws, command, algo):
+    """`command` with an `algo` model and its training dataset cut to its
+    first 5 feature columns."""
+    _pipeline(ws, count=20)
+    assert run(["train", "--dataset", str(ws / "d.csv"), "--algo", algo,
+                "-o", str(ws / "m.xadmodel")]) == 0
+    with open(ws / "d.csv", newline="") as fh:
+        rows = [row[:5] + row[-1:] for row in csv.reader(fh)]
+    with open(ws / "narrow.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return [command, "--model", str(ws / "m.xadmodel"),
+            "--dataset", str(ws / "narrow.csv"), "-o", str(ws / "o.csv")]
+
+
 def _run(argv, ws):
     """`run(argv)`, with the workspace's file `stdin`, if a case wrote one,
     as standard input, opened as the interpreter opens its own on POSIX
@@ -674,6 +699,12 @@ _DATA_ERRORS = {
     "inject-non-utf-8-name": lambda ws: _non_utf_8_name(ws, "inject"),
     "score-own-dictionary": _own_dictionary,
     "localize-reversed-columns": _reversed_columns,
+    "model-psi-xx": lambda ws: _edited_model(
+        ws, "adifa", lambda b: b.update(psi="xx")),
+    "model-zero-calibration-max": lambda ws: _edited_model(
+        ws, "adifa", lambda b: b.update(calibration_max=0.0)),
+    "model-negative-tau": lambda ws: _edited_model(
+        ws, "adifa", lambda b: b["attributes"][0].update(tau=-1.0)),
 }
 
 
@@ -687,6 +718,17 @@ def test_data_error_exit_2(workspace, capsys, case):
     for flag in ("-o", "--out"):  # a data error leaves no output file
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()
+
+
+@pytest.mark.parametrize("command, algo", [
+    ("score", "adifa"), ("score", "pga"), ("localize", "adifa")])
+def test_narrow_dataset_named(workspace, capsys, command, algo):
+    argv = _narrow(workspace, command, algo)
+    width = len(FlatDataset.from_csv(workspace / "d.csv").column_names)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert (f"xmlad: {workspace / 'narrow.csv'}: 5 columns, but the model "
+            f"has {width}\n" == capsys.readouterr().err)
 
 
 def test_latin_1_document_named(workspace, capsys):

@@ -10,7 +10,7 @@ import oracle
 from conftest import make_dataset
 from xmlad import evaluate, model_io
 from xmlad.errors import (DegenerateMatrix, LengthMismatch, NonFiniteData,
-                          SingleClass)
+                          SingleClass, TooFewRows)
 from xmlad.evaluate import (auc, cv_5x2, cv_5x2_many, friedman_bonferroni,
                             learning_curve, paired_t_test, roc_curve)
 
@@ -259,6 +259,44 @@ def test_friedman_antisymmetry():
 def test_friedman_validation():
     with pytest.raises(DegenerateMatrix):
         friedman_bonferroni([[0.5, 0.6]])
+    with pytest.raises(NonFiniteData, match="row 1, column 0$"):
+        friedman_bonferroni([[0.5, 0.6], [np.nan, 0.7]])
+
+
+def _stats_significance(M):
+    """friedman_bonferroni's numbers computed through scipy.stats."""
+    n, k = M.shape
+    ranks = np.vstack([stats.rankdata(-row, method="average") for row in M])
+    mean_ranks = ranks.mean(axis=0)
+    chi2 = (12.0 * n / (k * (k + 1))
+            * (float((mean_ranks ** 2).sum()) - k * (k + 1) ** 2 / 4.0))
+    if chi2 <= 0.0:
+        p = 1.0
+    elif n * (k - 1) - chi2 <= 0.0:
+        p = 0.0
+    else:
+        f_stat = (n - 1) * chi2 / (n * (k - 1) - chi2)
+        p = float(stats.f.sf(f_stat, k - 1, (k - 1) * (n - 1)))
+    z = stats.norm.ppf(1.0 - 0.05 / (2.0 * (k - 1)))
+    return (p, tuple(float(r) for r in mean_ranks),
+            float(z * np.sqrt(k * (k + 1) / (6.0 * n))))
+
+
+def test_significance_matches_scipy_stats():
+    # the special functions scipy.stats calls, and exact average ranks
+    rng = np.random.default_rng(23)
+    for trial in range(700):
+        k = 2 + trial % 7
+        M = rng.random((rng.integers(2, 15), k)).round(trial % 3)
+        M[rng.random(len(M)) < 0.2] = 0.5  # rows of one value
+        report = friedman_bonferroni(M)
+        assert (report.friedman_p, report.mean_ranks,
+                report.critical_difference) == _stats_significance(M)
+        a, b = rng.random((2, rng.integers(2, 11))).round(trial % 3 + 1)
+        d = a - b
+        if d.std(ddof=1) > 0.0:
+            t = d.mean() / (d.std(ddof=1) / np.sqrt(len(d)))
+            assert paired_t_test(a, b) == float(stats.t.sf(t, len(d) - 1))
 
 
 # -- learning curve --------------------------------------------------------
@@ -273,6 +311,15 @@ def test_learning_curve_nested_sizes():
     assert sizes[-1] == 100  # half of all 200 normal rows
     for _, value in points:
         assert 0.0 <= value <= 1.0
+
+
+def test_learning_curve_smallest_dataset():
+    # D_1 holds ceil(31 / 10) = 4 normal rows, and trains on 2 of them
+    rng = random.Random("lc3")
+    ds = _labeled_blobs(rng, m_normal=31, m_anom=5)
+    assert learning_curve(ds, "adifa-gm")[0][0] == 2
+    with pytest.raises(TooFewRows, match="at least 31 normal rows"):
+        learning_curve(_labeled_blobs(rng, m_normal=30, m_anom=5), "adifa-gm")
 
 
 def test_learning_curve_deterministic():

@@ -362,6 +362,43 @@ def test_ingest_plans_are_not_state(tmp_path):
                        fresh_dict) == x
 
 
+def _first(key, value):
+    return lambda body: body["attributes"][0].update({key: value})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda body: body.update(psi="xx"),
+    _first("sigma", 0.0), _first("tau", -1.0), _first("norm", 0.0),
+    _first("weight", -0.5),
+    lambda body: body.update(meta_sigma=-1.0),
+    lambda body: body.update(meta_tau=0.0),
+    lambda body: body.update(meta_norm=0.0),
+    lambda body: body.update(calibration_max=0.0),
+    lambda body: body["attributes"][1]["values"].reverse(),
+], ids=["psi", "sigma", "tau", "norm", "weight", "meta_sigma", "meta_tau",
+        "meta_norm", "calibration_max", "values"])
+def test_adifa_model_invariants_checked_at_load(tmp_path, edit):
+    model = adifa.train(_random_dataset(random.Random("invariants")))
+    body = persist.loads("adifa", persist.dumps("adifa", model))
+    path = tmp_path / "m.xadmodel"
+    path.write_text(persist.dumps("adifa", body))
+    load_model(path)  # the unedited body loads
+    edit(body)
+    path.write_text(persist.dumps("adifa", body))
+    with pytest.raises(CorruptFile):
+        load_model(path)
+
+
+def test_adifa_model_zero_weight_loads(tmp_path):
+    # the column of the greatest entropy gets weight 0 from compute_weights
+    body = persist.loads("adifa", persist.dumps("adifa", adifa.train(
+        _random_dataset(random.Random("zero-weight")))))
+    body["attributes"][0]["weight"] = 0.0
+    path = tmp_path / "m.xadmodel"
+    path.write_text(persist.dumps("adifa", body))
+    assert load_model(path)[1].attributes[0].weight == 0.0
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.xadmodel"
     path.write_text("not a model\n")

@@ -38,7 +38,7 @@ import numpy as np
 import scipy
 
 from xmlad import adifa, cli, extract, flatten, inject, synth
-# imported before any timing, so that no timed run loads scipy.stats
+# imported before any timing, so that no timed run loads scipy.special
 from xmlad import evaluate  # noqa: F401
 from xmlad.schema import SchemaVector, parse_xsd
 

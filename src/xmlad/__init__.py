@@ -7,8 +7,7 @@ from .extract import (FeatureMatrix, MeasurementVector, build_feature_matrix,
 from .flatten import (FlatDataset, TfIdfDictionary, build_dictionary,
                       flatten_matrix, flatten_row, tfidf)
 from .adifa import (AdifaModel, DetectionResult, attribute_entropy,
-                    attribute_likelihood, classify, compute_weights,
-                    localize, train)
+                    classify, compute_weights, localize, train)
 from .inject import (AttackClass, InjectionRecord, InjectionSpec,
                      inject_document, make_anomalous_corpus)
 from .model_io import load_model, save_model
@@ -21,8 +20,8 @@ __all__ = [
     "build_feature_matrix", "extract_row", "measure_occurrence",
     "FlatDataset", "TfIdfDictionary", "build_dictionary", "flatten_matrix",
     "flatten_row", "tfidf", "AdifaModel", "DetectionResult",
-    "attribute_entropy", "attribute_likelihood", "classify",
-    "compute_weights", "localize", "train", "AttackClass",
+    "attribute_entropy", "classify", "compute_weights", "localize",
+    "train", "AttackClass",
     "InjectionRecord", "InjectionSpec", "inject_document",
     "make_anomalous_corpus", "load_model", "save_model",
 ]

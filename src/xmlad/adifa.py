@@ -8,14 +8,15 @@ modeled with a univariate KDE, whose value at a test score drives the
 normal/anomalous decision and is also what gets calibrated into [0, 1].
 
 Every kernel density (per-attribute, leave-one-out and meta) comes from
-`_kernel_sums`, which sums each column's kernels over its distinct training
-values, weighted by their counts, in fixed-size blocks: memory is O(block),
-not O(m^2), and `train`, `score_batch` and `classify` share its arithmetic
-bit for bit; `train` ranks each cell among them by one argsort of its
-columns.  It has two paths.  The exact path sums every kernel, once per
-distinct value that several rows hold in a column that is not wide (below);
-a leave-one-out sum there counts the row's own value once less, so it is
-exact even for an isolated training point.  A wide column, one with more
+`_kernel_sums` (or, for one row, `_row_sums`, below), which sums each
+column's kernels over its distinct training values, weighted by their
+counts, in fixed-size blocks: memory is O(block), not O(m^2), and `train`,
+`score_batch` and `classify` share its arithmetic bit for bit; `train`
+ranks each cell among them by one argsort of its columns.  It has two
+paths.  The exact path sums every kernel, once per distinct value that
+several rows hold in a column that is not wide (below); a leave-one-out
+sum there counts the row's own value once less, so it is exact even for
+an isolated training point.  A wide column, one with more
 distinct values than its Hermite expansion has coefficients, is summed
 instead from the expansions of its values in boxes one sigma wide (the 1-D
 fast Gauss transform of Greengard & Strain, 1991), at a cost per target of
@@ -26,8 +27,15 @@ cell (far targets, isolated leave-one-out points, sums that underflow) is
 recomputed on the exact path.  The attribute sums of `train`, `score_batch`
 and `classify` take the expansion, and so does the meta KDE's leave-one-out
 pass over the m training scores in `train`.  Scoring's meta KDE stays
-exact: it is one column, and for the one row of `classify` the expansion's
-fixed cost per call is more than the exact sum.
+exact: it is one column.
+
+Scoring one row, as `classify` does, skips the blocks: `_row_sums` gathers
+the row's cells through an index built once per group and for the
+expansion, runs the expansion once, then the exact sums of each narrow
+group and of each wide column whose bound fails, all under one errstate.
+Every cell goes through the same ufuncs over the same values or boxes in
+the same order as in a block, and no sum spans two rows, so one row gets
+the bits the batch gives it.
 """
 
 import math
@@ -106,6 +114,8 @@ class _Group(NamedTuple):
     neg: np.ndarray  # -tau of each value's column
     counts: np.ndarray  # of each value
     rows: int  # point rows per block
+    gather: np.ndarray  # each value's column, or the one column: x[gather]
+    # of one row x broadcasts to np.repeat(x[cols], lens)
 
 
 class _Expansion(NamedTuple):
@@ -123,6 +133,7 @@ class _Expansion(NamedTuple):
     coeffs: np.ndarray  # (_TERMS, boxes): sum_n A_n H_n(t) in powers of t
     bound: np.ndarray  # K eps_p W of each box, W its total count
     rows: int  # point rows per block
+    gather: np.ndarray  # each box's column
 
 
 def _tail(p: int) -> float:
@@ -171,7 +182,8 @@ def _pack(cols, lens, offsets, values, counts, neg):
             at = np.repeat(base, lens[g]) + np.arange(lens[g].sum())
         out.append(_Group(
             g, base, lens[g], starts, values[at], neg[at], counts[at],
-            max(1, _BLOCK_CELLS // lens[g].sum())))
+            max(1, _BLOCK_CELLS // lens[g].sum()),
+            np.repeat(g, lens[g]) if len(g) > 1 else g))
     return out
 
 
@@ -239,7 +251,8 @@ class _KernelTable:
             np.concatenate([[0], np.cumsum(boxes[wide])[:-1]]), centres,
             scales, sum(h[:, None] * a for h, a in zip(_HERMITE, moments)),
             _CRAMER_K * _tail(_TERMS) * moments[0],
-            max(1, _BLOCK_CELLS // len(first)))
+            max(1, _BLOCK_CELLS // len(first)),
+            np.flatnonzero(wide).repeat(boxes[wide]))
 
 
 @dataclass
@@ -278,6 +291,9 @@ class AdifaModel:
                 and (scales > 0).all() and (params[:, 3] >= 0).all()):
             raise ValueError("sigma, tau, norm and calibration_max must be "
                              "positive and finite, and weights finite and >= 0")
+        if not 0.0 <= self.threshold <= 1.0:  # a likelihood's range
+            raise ValueError(f"threshold must be in [0, 1], not "
+                             f"{self.threshold!r}")
         values = np.array([am.values for am in self.attributes])
         if not (values[:, 1:] >= values[:, :-1]).all():
             raise ValueError("attribute values must be ascending")
@@ -310,6 +326,19 @@ def _fit_kernel(values: np.ndarray):
     return sigma, tau, norm
 
 
+def _kernels(g: _Group, diff, k) -> None:
+    """count(v) exp((-tau d) d) into k, for d = diff, each point less each
+    value of g (..., values of g): (-tau d) d as in the per-centre formula.
+    Points and values are finite, and tau > 0 bounds the values (sigma^2 is
+    finite, sigma >= 1e-9 |mean|), so d is finite and only (-tau d) d can
+    overflow, to -inf, which callers let pass: a far point's kernels are
+    exp's exact 0."""
+    np.multiply(g.neg, diff, out=k)
+    k *= diff
+    np.exp(k, out=k)
+    k *= g.counts
+
+
 def _group_sums(g: _Group, points, own=None) -> np.ndarray:
     """One group's kernel sums, for points (t, columns of g) and, with
     `own`, the row's own indices into the table's values (t, columns of g).
@@ -317,9 +346,6 @@ def _group_sums(g: _Group, points, own=None) -> np.ndarray:
     A block is several point rows, each point repeated over its column's
     distinct values.  Memory is O(block) beyond the output, and each sum
     runs over its column's values in order, whatever the number of rows.
-    Points and values are finite, and tau > 0 bounds the values (sigma^2 is
-    finite, sigma >= 1e-9 |mean|), so d is finite and only (-tau d) d can
-    overflow, to -inf: a far point's kernels are exp's exact 0.
     """
     out = np.empty(points.shape)
     work = np.empty(min(g.rows, len(points)) * len(g.values))
@@ -327,13 +353,9 @@ def _group_sums(g: _Group, points, own=None) -> np.ndarray:
         block = slice(lo, lo + g.rows)
         diff = np.repeat(points[block], g.lens, axis=1)
         diff -= g.values
-        # (-tau d) d, as in the per-centre formula, in the one buffer
-        k = work[:diff.size].reshape(diff.shape)
+        k = work[:diff.size].reshape(diff.shape)  # the one buffer
         with np.errstate(over="ignore"):
-            np.multiply(g.neg, diff, out=k)
-            k *= diff
-        np.exp(k, out=k)
-        k *= g.counts
+            _kernels(g, diff, k)
         if own is not None:  # exp(0) = 1 at the row's own value
             at = own[block] - g.base
             k[np.arange(len(k))[:, None], at] = g.counts[at] - 1.0
@@ -387,30 +409,38 @@ def _hermite_sums(e: _Expansion, points, loo: bool):
     NaN (points are finite and tau > 0, so nothing else is non-finite); no
     cell keeps a NaN, so the exact sum refills it.
     """
-    sums, bound = np.empty(points.shape), np.empty(points.shape)
+    sums = np.empty(points.shape)
+    kept = np.empty(points.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(points), e.rows):
             block = slice(lo, lo + e.rows)
-            t = np.repeat(points[block], e.lens, axis=1)
-            t -= e.centres
-            t *= e.scales
-            g = np.square(t)
-            g *= -0.5
-            np.exp(g, out=g)  # e^(-t^2/2)
-            np.add.reduceat(g * e.bound, e.starts, axis=1, out=bound[block])
-            poly = np.empty_like(t)
-            poly[:] = e.coeffs[-1]
-            for c in e.coeffs[-2::-1]:
-                poly *= t
-                poly += c
-            poly *= g
-            poly *= g
-            np.add.reduceat(poly, e.starts, axis=1, out=sums[block])
+            sums[block], kept[block] = _expanded(
+                e, np.repeat(points[block], e.lens, axis=1), loo)
+    return sums, kept
+
+
+def _expanded(e: _Expansion, t, loo=False):
+    """`_hermite_sums` of targets t (..., boxes), each repeated over its
+    column's boxes, which it overwrites; each sum runs over its column's
+    boxes in order."""
+    t -= e.centres
+    t *= e.scales
+    g = np.square(t)
+    g *= -0.5
+    np.exp(g, out=g)  # e^(-t^2/2)
+    bound = np.add.reduceat(g * e.bound, e.starts, axis=-1)
+    poly = np.empty_like(t)
+    poly[...] = e.coeffs[-1]
+    for c in e.coeffs[-2::-1]:
+        poly *= t
+        poly += c
+    poly *= g
+    poly *= g
+    sums = np.add.reduceat(poly, e.starts, axis=-1)
     if loo:
         sums -= 1.0
     excess = sums - bound
-    kept = (excess > 0.0) & (sums >= _TINY) & (bound <= _KEEP * excess)
-    return sums, kept
+    return sums, (excess > 0.0) & (sums >= _TINY) & (bound <= _KEEP * excess)
 
 
 def _kernel_sums(table: _KernelTable, points, own=None,
@@ -428,7 +458,7 @@ def _kernel_sums(table: _KernelTable, points, own=None,
     out = np.empty(points.shape)
     e = table.expansion if expand else None
     for g in table.narrow:
-        (_fill_distinct if len(points) > 1 else _fill)(out, g, points, own)
+        _fill_distinct(out, g, points, own)
     for g in table.wide if e is None else ():
         _fill(out, g, points, own)
     if e is not None:
@@ -440,11 +470,24 @@ def _kernel_sums(table: _KernelTable, points, own=None,
     return out
 
 
-def attribute_likelihood(model: AttributeModel, x: float) -> float:
-    """Average Gaussian kernel mass the training column places at x."""
-    table = _KernelTable([model.values], [model.tau])
-    return float(model.norm * (_kernel_sums(
-        table, np.array([[x]], dtype=float))[0, 0] / len(model.values)))
+def _row_sums(table: _KernelTable, points, expand=False) -> np.ndarray:
+    """`_kernel_sums` of one row (1, n), with its bits, without blocks or
+    copies: each group gathers the row's cells through `gather` and runs
+    `_kernels` and reduceat over them, and the expansion runs once."""
+    x, out = points[0], np.empty(points.shape)
+    e = table.expansion if expand else None
+    exact = table.narrow + (table.wide if e is None else [])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if e is not None:
+            sums, kept = _expanded(e, x[e.gather])
+            out[0, e.cols] = sums
+            exact += [w for w, keep in zip(table.wide, kept) if not keep]
+        for g in exact:
+            diff = x[g.gather] - g.values
+            k = np.empty_like(diff)
+            _kernels(g, diff, k)
+            out[0, g.cols] = np.add.reduceat(k, g.starts)
+    return out
 
 
 def _aggregate(weighted: np.ndarray, psi: str) -> np.ndarray:
@@ -532,10 +575,11 @@ def _score(model: AdifaModel, X: np.ndarray):
             f"expected shape (*, {model.n_attributes}), got {X.shape}")
     check_finite(X)
     m = len(model.training_scores)
-    d = model._norms * (_kernel_sums(model._kernels, X, expand=True) / m)
+    sums = _row_sums if len(X) == 1 else _kernel_sums
+    d = model._norms * (sums(model._kernels, X, expand=True) / m)
     scores = _aggregate(model._weights * d, model.psi)
-    densities = model.meta_norm * (_kernel_sums(
-        model._meta, scores[:, None])[:, 0] / m)
+    densities = model.meta_norm * (sums(model._meta, scores[:, None])[:, 0]
+                                   / m)
     likelihoods = np.minimum(1.0, densities / model.calibration_max)
     return d, scores, likelihoods, densities
 

@@ -57,6 +57,11 @@ class TfIdfDictionary:
     def idf(self, term: str) -> float:
         return smoothed_idf(self.corpus_size, self._frequency.get(term, 0))
 
+    @cached_property
+    def _idfs(self) -> tuple:
+        # each term's idf, computed once for every row `flatten_row` builds
+        return tuple(self.idf(t) for t in self.terms)
+
     def save(self, path):
         persist.write(path, "dict", self)
 
@@ -191,8 +196,11 @@ def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
     failures = 0
     texts = []
     for cf, (literals, slots, string) in zip(row, layout):
-        valid = [mv.values for mv in cf if not mv.failed]
-        failures += len(cf) - len(valid)
+        if len(cf) == 1 and not cf[0].failed:  # most elements: once, parsed
+            valid = (cf[0].values,)
+        else:
+            valid = [mv.values for mv in cf if not mv.failed]
+            failures += len(cf) - len(valid)
         if literals is not None:
             counts = [0.0] * literals
             for values in valid:
@@ -212,7 +220,9 @@ def flatten_row(row, schema: SchemaVector, dictionary: TfIdfDictionary):
             texts += [mv.raw_text for mv in cf]
     out.append(float(failures))
     counts = _token_counts(texts)
-    out += [tfidf(term, counts, dictionary) for term in dictionary.terms]
+    # tfidf of each term, with its idf computed once per dictionary
+    out += [counts.get(term, 0) * idf
+            for term, idf in zip(dictionary.terms, dictionary._idfs)]
     return out
 
 

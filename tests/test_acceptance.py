@@ -19,7 +19,6 @@ from scipy.integrate import quad
 import oracle
 from conftest import make_dataset, score_and_label
 from xmlad import adifa, evaluate
-from xmlad.adifa import AttributeModel
 from xmlad.baselines import gde_train, pga_train
 from xmlad.cli import run
 from xmlad.extract import build_feature_matrix
@@ -99,13 +98,13 @@ def test_acceptance_kde_normalization():
             values = np.sort(np.array(
                 [rng.gauss(rng.uniform(-10, 10), rng.uniform(0.1, 5))
                  for _ in range(m)]))
-            sigma, tau, norm = adifa._fit_kernel(values)
-            model = AttributeModel(values=values, sigma=sigma, tau=tau,
-                                   norm=norm, weight=1.0, entropy=0.0)
+            model = adifa.train(make_dataset(values[:, None]))
+            sigma = model.attributes[0].sigma
             lo = float(values.min()) - 8 * sigma
             hi = float(values.max()) + 8 * sigma
-            total, _ = quad(lambda x: adifa.attribute_likelihood(model, x),
-                            lo, hi, limit=200)
+            # a one-column model's d_j is the column's density
+            total, _ = quad(lambda x: adifa.classify(
+                model, [x]).per_attribute[0][1], lo, hi, limit=200)
             worst = max(worst, abs(total - 1.0))
     _report("KDE normalization (attribute density integrates to 1 +/- 1e-3)",
             worst <= 1e-3, f"max deviation {worst:.2e}")

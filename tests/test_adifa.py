@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,18 +9,15 @@ import pytest
 import oracle
 from conftest import make_dataset
 from xmlad import adifa
-from xmlad.adifa import (AttributeModel, attribute_entropy,
-                         attribute_likelihood, classify, compute_weights,
+from xmlad.adifa import (attribute_entropy, classify, compute_weights,
                          localize, score_batch, train)
 from xmlad.errors import DimensionMismatch, NonFiniteData, TooFewRows
+from xmlad.extract import build_feature_matrix
+from xmlad.flatten import build_dictionary, flatten_matrix
+from xmlad.inject import InjectionSpec, make_anomalous_corpus
 from xmlad.model_io import load_model, save_model
-
-
-def _attr_model(values, weight=1.0):
-    values = np.sort(np.asarray(values, dtype=float))
-    sigma, tau, norm = adifa._fit_kernel(values)
-    return AttributeModel(values=values, sigma=sigma, tau=tau, norm=norm,
-                          weight=weight, entropy=0.0)
+from xmlad.schema import parse_xsd
+from xmlad.synth import demo_params, demo_schema_xsd, generate_normal_corpus
 
 
 # -- entropy ---------------------------------------------------------------
@@ -80,23 +78,28 @@ def test_weights_single_attribute():
 
 # -- per-attribute kernel --------------------------------------------------
 
+def _attribute_likelihood(model, x):
+    """d_j at x of a one-column model, through `classify`."""
+    return classify(model, [x]).per_attribute[0][1]
+
+
 def test_attribute_likelihood_hand_value():
     # A = {0, 2}: population sigma 1; at x=1 both kernels give e^-0.5/sqrt(2pi)
-    model = _attr_model([0.0, 2.0])
-    assert model.sigma == 1.0
+    model = train(make_dataset([[0.0], [2.0]]))
+    assert model.attributes[0].sigma == 1.0
     expected = math.exp(-0.5) / math.sqrt(2 * math.pi)
-    assert attribute_likelihood(model, 1.0) == pytest.approx(expected,
-                                                             abs=1e-12)
-    assert attribute_likelihood(model, 1.0) == pytest.approx(0.24197,
-                                                             abs=1e-5)
+    assert _attribute_likelihood(model, 1.0) == pytest.approx(expected,
+                                                              abs=1e-12)
+    assert _attribute_likelihood(model, 1.0) == pytest.approx(0.24197,
+                                                              abs=1e-5)
 
 
 def test_attribute_likelihood_symmetry_and_tails():
-    model = _attr_model([0.0, 2.0])
+    model = train(make_dataset([[0.0], [2.0]]))
     for t in (0.1, 0.5, 1.7, 3.0):
-        assert attribute_likelihood(model, 1 + t) == pytest.approx(
-            attribute_likelihood(model, 1 - t), rel=1e-12)
-    assert attribute_likelihood(model, 1e6) < 1e-300
+        assert _attribute_likelihood(model, 1 + t) == pytest.approx(
+            _attribute_likelihood(model, 1 - t), rel=1e-12)
+    assert _attribute_likelihood(model, 1e6) < 1e-300
 
 
 def _column_fit_kernel(column):
@@ -388,8 +391,9 @@ def test_kernel_sums_do_not_depend_on_block_size(monkeypatch, block):
 
 
 def test_kernel_sums_of_a_block_match_row_by_row():
-    # a block sums each distinct (column, value) once and gathers it back;
-    # one row is summed as it is, so the two must agree bit for bit
+    # a block sums each distinct (column, value) once and gathers it back,
+    # and so does each one-row block here; each sum runs over its column's
+    # values in order, so the two must agree bit for bit
     X = np.round(_heavy_duplicate_rows(3000))
     table, own, taus = _table_and_own(X)
     assert table.expansion is None and len(table.narrow) == 1
@@ -504,18 +508,54 @@ def test_expanded_sums_do_not_depend_on_block_size(monkeypatch, block):
     assert np.array_equal(adifa._kernel_sums(table, points, expand=True), sums)
 
 
-def test_score_batch_matches_classify_on_expanded_model():
+def _expansion_case():
+    """gm on `_expansion_rows`, scored on every far row of
+    `_expansion_points` and a seventh of the others; its last four rows
+    are +-1.7e308 and +-1e300."""
     X = _expansion_rows(600)
     model = train(make_dataset(X), psi="gm")
-    assert model._kernels.expansion is not None
-    table_taus = [am.tau for am in model.attributes]
-    points = _expansion_points(X, table_taus)
-    points = np.concatenate([points[:700:7], points[700:]])  # every far row
-    scores, likelihoods, _ = score_batch(model, points)
-    assert (scores[-4:] == 0.0).all()  # +-1.7e308 and +-1e300: every d is 0
-    batch = adifa.classify_batch(model, points)
-    for i, x in enumerate(points):
-        result = classify(model, x)
+    points = _expansion_points(X, [am.tau for am in model.attributes])
+    return model, np.concatenate([points[:700:7], points[700:]]), 4
+
+
+def _demo_case():
+    """gm on 600 demo documents, scored on 200 held-out ones, half of them
+    injected with every attack class, and two rows at +-1e300."""
+    schema = parse_xsd(demo_schema_xsd())
+    params = demo_params(schema, seed=0)
+    fm = build_feature_matrix(
+        generate_normal_corpus(schema, params, 600, seed=11), schema)
+    dictionary = build_dictionary(fm, schema)
+    docs, _, _ = make_anomalous_corpus(
+        generate_normal_corpus(schema, params, 200, seed=12), schema,
+        InjectionSpec(anomaly_index=0.05, seed=13), fraction_anomalous=0.5)
+    held = flatten_matrix(build_feature_matrix(docs, schema), schema,
+                          dictionary).rows
+    huge = np.full((2, held.shape[1]), 1e300) * np.array([[1.0], [-1.0]])
+    model = train(flatten_matrix(fm, schema, dictionary), psi="gm")
+    return model, np.concatenate([held, huge]), 2
+
+
+@pytest.mark.parametrize("case", [_expansion_case, _demo_case],
+                         ids=["expansion-rows", "demo"])
+def test_score_batch_matches_classify_on_expanded_model(case):
+    # classify takes the one-row path, classify_batch and score_batch the
+    # blocked one: each cell's arithmetic is the same, so are the bits
+    model, points, far = case()
+    table = model._kernels
+    assert any(len(g.cols) > 1 for g in table.narrow)
+    e = table.expansion
+    assert e is not None
+    _, kept = adifa._hermite_sums(e, points[:, e.cols], False)
+    # some rows keep every expanded cell, some sum a wide cell exactly
+    assert kept.all(axis=1).any() and not kept.all(axis=1).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow left unsilenced fails
+        scores, likelihoods, _ = score_batch(model, points)
+        batch = adifa.classify_batch(model, points)
+        results = [classify(model, x) for x in points]
+    assert (scores[-far:] == 0.0).all()  # every d of a far row is 0
+    for i, result in enumerate(results):
         assert result == batch[i]
         assert (result.score, result.likelihood) == (scores[i],
                                                      likelihoods[i])

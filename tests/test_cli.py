@@ -705,6 +705,10 @@ _DATA_ERRORS = {
         ws, "adifa", lambda b: b.update(calibration_max=0.0)),
     "model-negative-tau": lambda ws: _edited_model(
         ws, "adifa", lambda b: b["attributes"][0].update(tau=-1.0)),
+    "model-negative-threshold": lambda ws: _edited_model(
+        ws, "adifa", lambda b: b.update(threshold=-1.0)),
+    "model-threshold-above-one": lambda ws: _edited_model(
+        ws, "adifa", lambda b: b.update(threshold=2.0)),
 }
 
 

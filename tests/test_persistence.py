@@ -399,6 +399,15 @@ def test_adifa_model_zero_weight_loads(tmp_path):
     assert load_model(path)[1].attributes[0].weight == 0.0
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_adifa_model_threshold_bounds_load(tmp_path, threshold):
+    # train --threshold admits both ends of [0, 1]
+    model = adifa.train(_random_dataset(random.Random("threshold")),
+                        threshold=threshold)
+    save_model(model, tmp_path / "m.xadmodel")
+    assert load_model(tmp_path / "m.xadmodel")[1].threshold == threshold
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.xadmodel"
     path.write_text("not a model\n")

@@ -10,7 +10,10 @@ over 500 held-out documents) on the demo corpus of
 through the CLI too: `extract` of that corpus from a directory of .xml
 files and `flatten` of its feature matrix, building the dictionary; and
 per document, `extract_row` + `flatten_row` of 1,000 held-out documents
-(seed 12) against that schema and dictionary, in µs.  At each size it also
+(seed 12) against that schema and dictionary, in µs.  Detection is timed
+per document on the same 1,000, in µs and best of 3 at every size: the
+loop a detector runs, `extract_row`, `flatten_row`, `classify` against the
+size's gm model and `localize` of the top 3.  At each size it also
 times `cli.run(["--seed", "1", "evaluate", "--algos",
 "adifa-gm,pga,gde,lof", ...])` on that corpus with half of its documents
 injected by `inject.make_anomalous_corpus` (anomaly index 0.05, every
@@ -90,9 +93,10 @@ def labelled_csv(m, path):
                            labels=list(labels)).to_csv(path)
 
 
-def ingest(m, repeats, work):
+def ingest(m, repeats, work, model):
     """Best times of CLI `extract` and `flatten` on the m documents of
-    `demo_data`, and of one document's `extract_row` + `flatten_row`."""
+    `demo_data`, of one document's `extract_row` + `flatten_row`, and of
+    its detection against model."""
     schema = parse_xsd(synth.demo_schema_xsd())
     params = synth.demo_params(schema, seed=0)
     work.mkdir()
@@ -120,6 +124,10 @@ def ingest(m, repeats, work):
         extract.extract_row(doc, loaded).features, loaded, dictionary)
         for doc in held])
     out["ingest_us_per_doc"] = 1e6 * per_doc_s / len(held)
+    detect_s, _ = best_of(3, lambda: [adifa.localize(adifa.classify(
+        model, flatten.flatten_row(extract.extract_row(doc, loaded).features,
+                                   loaded, dictionary)), 3) for doc in held])
+    out["detect_us_per_doc"] = 1e6 * detect_s / len(held)
     return out
 
 
@@ -150,7 +158,8 @@ def demo_sizes(sizes):
                                                    for c in data.rows.T)),
                         "repeats": repeats, "train_s": train_s,
                         "score_batch_ms_per_row": 1e3 * score_s / len(held),
-                        **ingest(m, repeats, Path(work) / f"ingest{m}"),
+                        **ingest(m, repeats, Path(work) / f"ingest{m}",
+                                 model),
                         "evaluate_algos": EVAL_ALGOS,
                         "evaluate_s": evaluate_s(m, repeats, Path(work))})
             print(json.dumps(out[-1]), file=sys.stderr)
